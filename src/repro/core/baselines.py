@@ -63,6 +63,11 @@ class RandomAttacker(CameraMitmAttackerBase):
             self._chosen_actor_id = int(candidates[int(self._rng.integers(0, len(candidates)))])
         self._fizzled = False
 
+    @property
+    def spent(self) -> bool:
+        """Also true once the episode has fizzled: it never re-fires."""
+        return self._fizzled or super().spent
+
     def _maybe_launch(
         self, estimates: Sequence[WorldObjectEstimate], ego_speed_mps: float
     ) -> Optional[tuple[AttackVector, int, WorldObjectEstimate, Optional[AttackFeatures], float]]:

@@ -12,7 +12,11 @@ it:
 3. asks the safety hijacker whether *now* is the opportune moment, and for how
    many frames ``K`` the attack must be maintained (Phase 2, step 4);
 4. once attacking, lets the trajectory hijacker perturb the camera frame for
-   ``K`` consecutive frames (Phase 3).
+   ``K`` consecutive frames (Phase 3);
+5. once its single episode is over, reports itself dormant (:attr:`spent`):
+   it will not perturb another frame, so an engine may stop handing it
+   frames (the batch engine does, which cuts the malware's per-frame
+   footprint after the attack to nil).
 
 While an attack is active the malware's own perception consumes the *perturbed*
 frames so that its tracker state mirrors the victim's tracker state — the
@@ -140,6 +144,22 @@ class CameraMitmAttackerBase:
     @property
     def target_actor_id(self) -> Optional[int]:
         return self.record.target_actor_id
+
+    @property
+    def spent(self) -> bool:
+        """Whether the attacker is dormant for the rest of the run.
+
+        True once the single attack episode has completed (and re-attacks
+        are not allowed): from then on every frame passes through untouched
+        and nothing reads the shadow reconstruction's state, so a caller may
+        skip :meth:`process_frame` altogether.
+        """
+        return self._attack_completed and not self.config.allow_reattack
+
+    @property
+    def frames_processed(self) -> int:
+        """Frames handed to :meth:`process_frame` so far."""
+        return self._frame_count
 
     def process_frame(
         self, frame: CameraFrame, ego_speed_mps: float, dt: float

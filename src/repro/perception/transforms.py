@@ -76,6 +76,11 @@ class ImageToWorldTransform:
         self.velocity_smoothing = velocity_smoothing
         self._history: Dict[int, _TrackHistory] = {}
 
+    @property
+    def has_history(self) -> bool:
+        """Whether any track's history is held (the transform has run)."""
+        return bool(self._history)
+
     def reset(self) -> None:
         """Drop all per-track history."""
         self._history.clear()

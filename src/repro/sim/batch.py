@@ -43,14 +43,22 @@ final state) for any lane set, by construction:
 Restrictions (the scalar path has none of these):
 
 * every lane shares one :class:`SimulationConfig` (lockstep needs one ``dt``);
-* the agents must be freshly built (no carried-over perception state) and run
-  one of the built-in fusion policies (``late``, ``consistency_gated``,
-  ``camera_only``, ``lidar_only``), each of which has a plain-float port here;
-  third-party fusion policies need the scalar Simulator.
+* the agents must be freshly built or reset (no live tracks or transform
+  history) and run one of the built-in fusion policies (``late``,
+  ``consistency_gated``, ``camera_only``, ``lidar_only``), each of which has a
+  plain-float port here; third-party fusion policies need the scalar
+  Simulator;
+* attackers must not have processed a frame yet.
+
+Both restrictions are checked at construction and raise ``ValueError``.
 
 Attackers are invoked as black boxes on real :class:`CameraFrame` objects, so
-any scalar attacker composes unchanged (at the cost of building frame
-dataclasses for attacked lanes only).
+any scalar attacker composes unchanged, at the cost of building frame
+dataclasses while the attacker is live.  Once it reports ``spent`` (its one
+attack episode is over, or never can happen) the lane switches to the
+unattacked camera path: no frame objects and no ``process_frame`` call.  The
+attack events and the run's target id are unaffected, because a spent
+attacker's ``attack_active`` and ``target_actor_id`` no longer change.
 """
 
 from __future__ import annotations
@@ -376,10 +384,31 @@ class _Lane:
     def __init__(self, spec: BatchRunSpec, config: SimulationConfig, pool: _KalmanPool):
         scenario = spec.scenario
         ads = spec.ads
+        perception = ads.perception
+        # The ports below start from empty tracker/transform state and a
+        # fresh attacker, so a reused one would silently diverge from the
+        # scalar Simulator, which carries its state over.
+        if perception.tracker.tracks or perception.transform.has_history:
+            raise ValueError(
+                "BatchSimulator needs a freshly built agent; this one already "
+                "drove a run (it has live tracks). Build a new agent or call "
+                "its reset() first"
+            )
+        attacker = spec.attacker
+        # frames_processed is not part of the CameraAttacker protocol; an
+        # attacker without it is checked through spent/attack_active alone.
+        if attacker is not None and (
+            attacker.spent
+            or attacker.attack_active
+            or getattr(attacker, "frames_processed", 0)
+        ):
+            raise ValueError(
+                "BatchSimulator needs a fresh attacker; this one has already "
+                "processed frames. Build a new attacker per run"
+            )
         rng = spec.rng if spec.rng is not None else np.random.default_rng()
         sensor_seeds = rng.integers(0, 2**31 - 1, size=2)
 
-        perception = ads.perception
         fusion_type = type(perception.fusion)
         # Exact-type dispatch: a third-party subclass has unknown semantics
         # and must not silently run the base class's port.  The subclass
@@ -578,7 +607,7 @@ class _Lane:
         sim_safety = SafetyModel(comfortable_decel_mps2=config.comfortable_decel_mps2)
         self.sim_reaction = sim_safety.reaction_time_s
         self.sim_comfort = sim_safety.comfortable_decel_mps2
-        self.attacker = spec.attacker
+        self.attacker = attacker
         self.scenario_id = scenario.scenario_id
         self.scenario_target_id = scenario.target_actor_id
         self.events = EventLog()
@@ -662,7 +691,8 @@ class _Lane:
         gps = self.ego_speed + self.gps_noise[3 * self.loop_step + 2]
         self.gps_speed = gps if gps > 0.0 else 0.0
 
-        if self.attacker is not None:
+        attacker = self.attacker
+        if attacker is not None and not attacker.spent:
             frame = CameraFrame(
                 time_s=self.time_s,
                 frame_index=self.step,
@@ -679,10 +709,19 @@ class _Lane:
                     for obj in rendered
                 ),
             )
-            delivered = self.attacker.process_frame(
+            delivered = attacker.process_frame(
                 frame, ego_speed_mps=self.gps_speed, dt=self.dt
             )
-            active = bool(self.attacker.attack_active)
+            camera_objects = [
+                (obj.actor_id, obj.kind, obj.bbox.cx, obj.bbox.cy,
+                 obj.bbox.width, obj.bbox.height)
+                for obj in delivered.objects
+            ]
+        else:
+            camera_objects = [(obj[2], obj[3], obj[4], obj[5], obj[6], obj[7])
+                              for obj in rendered]
+        if attacker is not None:
+            active = bool(attacker.attack_active)
             if active and not self.attack_was_active:
                 self.events.record(SimulationEvent(
                     kind=EventKind.ATTACK_STARTED, time_s=self.time_s, step_index=self.step
@@ -692,14 +731,6 @@ class _Lane:
                     kind=EventKind.ATTACK_ENDED, time_s=self.time_s, step_index=self.step
                 ))
             self.attack_was_active = active
-            camera_objects = [
-                (obj.actor_id, obj.kind, obj.bbox.cx, obj.bbox.cy,
-                 obj.bbox.width, obj.bbox.height)
-                for obj in delivered.objects
-            ]
-        else:
-            camera_objects = [(obj[2], obj[3], obj[4], obj[5], obj[6], obj[7])
-                              for obj in rendered]
 
         detections = self._detect(camera_objects)
         self._track_step(detections, upd_rows, upd_z)

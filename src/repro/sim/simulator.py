@@ -42,7 +42,13 @@ class CameraAttacker(Protocol):
 
     ``process_frame`` receives the clean camera frame and returns the frame the
     ADS will see (possibly perturbed).  The attacker reports its state through
-    the three properties so the simulator can log attack start/end events.
+    the properties so the simulator can log attack start/end events.
+
+    Once ``spent`` turns true the attacker is dormant for the rest of the run:
+    it will not perturb another frame, start another attack, or change
+    ``attack_active`` or ``target_actor_id``.  The batch engine then stops
+    calling ``process_frame`` and hands the clean frame straight to the ADS;
+    this reference loop keeps calling it on every frame.
     """
 
     def process_frame(
@@ -59,6 +65,11 @@ class CameraAttacker(Protocol):
     @property
     def target_actor_id(self) -> Optional[int]:
         """The actor whose trajectory is being hijacked, if any."""
+        ...
+
+    @property
+    def spent(self) -> bool:
+        """Whether the attacker is dormant for the rest of the run."""
         ...
 
 

@@ -7,9 +7,11 @@ from repro.core.attack_vectors import AttackVector
 from repro.core.baselines import RandomAttacker, RoboTackWithoutSafetyHijacker
 from repro.core.robotack import RoboTack, RoboTackConfig
 from repro.core.safety_hijacker import KinematicSafetyPredictor, SafetyHijacker
+from repro.experiments.campaign import build_ads_agent
 from repro.perception.detection import DetectorConfig, DetectorNoiseModel
 from repro.perception.pipeline import PerceptionConfig
 from repro.sensors.camera import CameraSensor
+from repro.sim.batch import BatchRunSpec, BatchSimulator
 from repro.sim.scenarios import ScenarioVariation, build_scenario
 
 FRAME_DT = 1.0 / 15.0
@@ -119,6 +121,99 @@ class TestRoboTack:
         assert record.features_at_launch is not None
         assert record.features_at_launch.delta_m > 0
         assert np.isfinite(record.predicted_delta_m)
+
+
+def count_shadow_calls(attacker):
+    """Record the frame index of every shadow-perception call."""
+    calls = []
+    process = attacker.perception.process
+
+    def counting_process(frame, *args, **kwargs):
+        calls.append(attacker.frames_processed)
+        return process(frame, *args, **kwargs)
+
+    attacker.perception.process = counting_process
+    return calls
+
+
+def run_batch_lane(scenario, attacker, seed=7):
+    """Drive one batch-engine lane (the engine that skips spent attackers)."""
+    ads = build_ads_agent(scenario, np.random.default_rng(seed))
+    spec = BatchRunSpec(
+        scenario=scenario, ads=ads, attacker=attacker, rng=np.random.default_rng(seed + 1)
+    )
+    return BatchSimulator([spec]).run()[0]
+
+
+class TestDormancy:
+    def test_shadow_perception_stops_at_completion_frame(self):
+        scenario = build_scenario("DS-1", ScenarioVariation.nominal())
+        attacker = make_robotack(scenario, AttackVector.DISAPPEAR)
+        calls = count_shadow_calls(attacker)
+        result = run_batch_lane(scenario, attacker)
+        record = attacker.record
+        assert record.launched
+        assert attacker.spent
+        completion = record.start_frame + record.planned_k_frames - 1
+        assert completion < result.steps_executed
+        # One call per frame up to and including the completion frame, then none.
+        assert calls == list(range(1, completion + 1))
+        assert attacker.frames_processed == completion
+
+    def test_spent_turns_true_on_the_completion_frame(self):
+        scenario = build_scenario("DS-1", ScenarioVariation.nominal())
+        attacker = make_robotack(scenario, AttackVector.DISAPPEAR)
+        camera = CameraSensor()
+        spent = []
+        for _ in range(350):
+            frame = camera.capture(scenario.world.snapshot())
+            attacker.process_frame(frame, ego_speed_mps=12.5, dt=FRAME_DT)
+            spent.append(attacker.spent)
+            scenario.world.step(FRAME_DT, ego_acceleration_mps2=0.0)
+        record = attacker.record
+        completion = record.start_frame + record.planned_k_frames - 1
+        assert completion < len(spent)
+        # Live before the completion frame, spent from it on.
+        assert spent == [False] * (completion - 1) + [True] * (len(spent) - completion + 1)
+
+    def test_reattack_keeps_shadow_perception_running(self):
+        scenario = build_scenario("DS-1", ScenarioVariation.nominal())
+        hijacker = SafetyHijacker(KinematicSafetyPredictor(AttackVector.DISAPPEAR))
+        config = RoboTackConfig(allowed_vectors=(AttackVector.DISAPPEAR,), allow_reattack=True)
+        attacker = RoboTack(scenario.road, hijacker, config, rng=np.random.default_rng(0))
+        calls = count_shadow_calls(attacker)
+        result = run_batch_lane(scenario, attacker)
+        assert attacker.record.launched
+        assert not attacker.spent
+        assert calls == list(range(1, result.steps_executed + 1))
+
+    def test_fizzled_random_attacker_is_spent(self):
+        scenario = build_scenario("DS-1", ScenarioVariation.nominal())
+        attacker = RandomAttacker(
+            scenario.road,
+            rng=np.random.default_rng(4),
+            start_window_frames=(5, 10),
+            candidate_target_actor_ids=[10**9],
+        )
+        calls = count_shadow_calls(attacker)
+        run_batch_lane(scenario, attacker)
+        assert not attacker.record.launched
+        assert attacker.spent
+        # Fizzling happens on the start frame; no shadow call follows it.
+        assert 5 <= len(calls) <= 10
+        assert calls == list(range(1, len(calls) + 1))
+
+    def test_completed_baselines_are_spent(self):
+        scenario = build_scenario("DS-1", ScenarioVariation.nominal())
+        attacker = RoboTackWithoutSafetyHijacker(
+            scenario.road,
+            RoboTackConfig(allowed_vectors=(AttackVector.DISAPPEAR,)),
+            rng=np.random.default_rng(5),
+            start_window_frames=(20, 40),
+        )
+        drive_with_attacker(scenario, attacker, n_frames=200)
+        assert attacker.record.launched
+        assert attacker.spent
 
 
 class TestRandomAttacker:

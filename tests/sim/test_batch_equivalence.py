@@ -22,12 +22,14 @@ from repro.core.attack_vectors import AttackVector
 from repro.experiments.campaign import (
     AttackerKind,
     CampaignConfig,
+    PredictorKind,
     _build_attacker,
     build_ads_agent,
 )
 from repro.geometry import Vec2
 from repro.perception.fusion import FusionConfig, SensorFusion, list_fusion_policies
 from repro.perception.pipeline import PerceptionConfig
+from repro.sensors.camera import CameraSensor
 from repro.sim.batch import BatchRunSpec, BatchSimulator
 from repro.sim.events import EventKind
 from repro.sim.scenarios import build_scenario, list_scenario_ids
@@ -45,15 +47,34 @@ def _benign_setup(scenario_id, fusion=None):
     return scenario, ads, None, np.random.default_rng(_SIM_SEED)
 
 
-def _attacked_setup(scenario_id, fusion=None):
-    """The campaign layer's exact seeding chain, with the random attacker."""
+#: The vector RoboTack is pinned to per scenario (the Table-II pairing; the
+#: scenarios outside Table II use Disappear on their in-path target).
+_ROBOTACK_VECTORS = {
+    "DS-1": AttackVector.DISAPPEAR,
+    "DS-2": AttackVector.DISAPPEAR,
+    "DS-3": AttackVector.MOVE_IN,
+    "DS-4": AttackVector.MOVE_IN,
+    "DS-5": AttackVector.DISAPPEAR,
+    "DS-6": AttackVector.DISAPPEAR,
+    "DS-7": AttackVector.DISAPPEAR,
+}
+
+
+def _attacked_setup(scenario_id, fusion=None, attacker=AttackerKind.RANDOM):
+    """The campaign layer's exact seeding chain, with the given attacker
+    (RoboTack runs the kinematic oracle, so no training is involved)."""
+    if attacker is AttackerKind.ROBOTACK:
+        vector = _ROBOTACK_VECTORS[scenario_id]
+    else:
+        vector = AttackVector.MOVE_IN
     config = CampaignConfig(
         campaign_id=f"eq-{scenario_id}",
         scenario_id=scenario_id,
-        attacker=AttackerKind.RANDOM,
-        vector=AttackVector.MOVE_IN,
+        attacker=attacker,
+        vector=vector,
         n_runs=1,
         seed=_ATTACK_SEED,
+        predictor=PredictorKind.KINEMATIC,
     )
     rng = np.random.default_rng(_ATTACK_SEED)
     scenario = build_scenario(scenario_id)
@@ -66,7 +87,11 @@ def _attacked_setup(scenario_id, fusion=None):
     return scenario, ads, attacker, np.random.default_rng(int(rng.integers(0, 2**31 - 1)))
 
 
-_SETUPS = {"benign": _benign_setup, "attacked": _attacked_setup}
+def _robotack_setup(scenario_id, fusion=None):
+    return _attacked_setup(scenario_id, fusion, attacker=AttackerKind.ROBOTACK)
+
+
+_SETUPS = {"benign": _benign_setup, "attacked": _attacked_setup, "robotack": _robotack_setup}
 
 
 def _event_signature(result):
@@ -171,6 +196,62 @@ class TestScalarBatchEquivalence:
         scenario, ads, rng = setup()
         batch = BatchSimulator([BatchRunSpec(scenario=scenario, ads=ads, rng=rng)]).run()[0]
         _assert_bit_identical(scalar, batch)
+
+    @pytest.mark.parametrize("engine", ["scalar", "batch"])
+    def test_spent_attacker_is_no_longer_called(self, engine):
+        """Once the attacker is spent the batch engine hands it no further
+        frame; the scalar reference loop keeps calling it on every frame."""
+        scenario, ads, attacker, rng = _robotack_setup("DS-1")
+        calls = []
+        process_frame = attacker.process_frame
+
+        def counting_process_frame(frame, *args, **kwargs):
+            calls.append(frame.frame_index)
+            return process_frame(frame, *args, **kwargs)
+
+        attacker.process_frame = counting_process_frame
+        if engine == "scalar":
+            result = Simulator(scenario, ads, attacker=attacker, rng=rng).run()
+        else:
+            result = BatchSimulator(
+                [BatchRunSpec(scenario=scenario, ads=ads, attacker=attacker, rng=rng)]
+            ).run()[0]
+        assert attacker.spent
+        record = attacker.record
+        completion = record.start_frame + record.planned_k_frames - 1
+        assert completion < result.steps_executed
+        last_call = completion if engine == "batch" else result.steps_executed
+        assert calls == list(range(last_call))
+
+    def test_agent_that_already_drove_is_rejected(self):
+        """The batch ports start from empty tracker state, so an agent carrying
+        tracks from an earlier run would silently diverge from the scalar
+        path; it must fail loudly until reset."""
+        scenario, ads, attacker, rng = _benign_setup("DS-1")
+        Simulator(scenario, ads, attacker=attacker, rng=rng).run()
+        assert ads.perception.tracker.tracks
+        scenario = build_scenario("DS-1")
+        with pytest.raises(ValueError, match="already drove a run"):
+            BatchSimulator([BatchRunSpec(scenario=scenario, ads=ads)])
+        ads.reset()
+        BatchSimulator([BatchRunSpec(scenario=scenario, ads=ads)])
+
+    @pytest.mark.parametrize("frames", [1, "full run"])
+    def test_attacker_that_already_processed_frames_is_rejected(self, frames):
+        """A reused attacker is rejected whether it is mid-run or spent (a
+        spent one would otherwise silently never attack)."""
+        scenario, ads, attacker, rng = _robotack_setup("DS-1")
+        if frames == "full run":
+            Simulator(scenario, ads, attacker=attacker, rng=rng).run()
+            assert attacker.spent
+        else:
+            frame = CameraSensor().capture(scenario.world.snapshot())
+            attacker.process_frame(frame, ego_speed_mps=10.0, dt=1.0 / 15.0)
+            assert not attacker.spent
+        scenario = build_scenario("DS-1")
+        ads = build_ads_agent(scenario, np.random.default_rng(_ADS_SEED))
+        with pytest.raises(ValueError, match="already processed frames"):
+            BatchSimulator([BatchRunSpec(scenario=scenario, ads=ads, attacker=attacker)])
 
     def test_custom_fusion_policy_is_rejected(self):
         """The batch engine has plain-float ports of the built-in fusion

@@ -3,7 +3,9 @@
 One fixed-seed *nominal* (benign, unattacked) run per scenario, asserting a
 compact digest: steps executed, the recorded event kinds and step indices,
 the rounded minimum ground-truth safety potential, and the rounded final ego
-speed.  Any refactor that perturbs simulation semantics — sensor seeding,
+speed.  A second set pins attacked runs (RoboTack with the kinematic oracle,
+RoboTack without the safety hijacker, and the random baseline on DS-1
+Disappear and DS-3 Move_In) on both engines, including the attack record.  Any refactor that perturbs simulation semantics — sensor seeding,
 actor kinematics, the planner, the step loop's snapshot discipline — fails
 these loudly instead of silently shifting every campaign statistic.
 
@@ -13,12 +15,20 @@ commit message; do not loosen the comparisons.
 """
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 import pytest
 
-from repro.experiments.campaign import build_ads_agent
+from repro.core.attack_vectors import AttackVector
+from repro.experiments.campaign import (
+    AttackerKind,
+    CampaignConfig,
+    PredictorKind,
+    _build_run_setup,
+    build_ads_agent,
+)
+from repro.sim.batch import BatchRunSpec, BatchSimulator
 from repro.sim.scenarios import ScenarioVariation, build_scenario, list_scenario_ids
 from repro.sim.simulator import SimulationResult, Simulator
 
@@ -100,3 +110,147 @@ def test_golden_run_is_bitwise_repeatable(scenario_id):
     second = _golden_run(scenario_id)
     assert first.events.true_delta_trace == second.events.true_delta_trace
     assert first.events.ego_speed_trace == second.events.ego_speed_trace
+
+
+# --------------------------------------------------------------------------- #
+# Attacked runs
+# --------------------------------------------------------------------------- #
+# One campaign-seeded run per (scenario, attacker), through the campaign
+# layer's own seeding chain, on both engines.  Besides the run's events and
+# min δ these pin the attack record, so a change to when the malware attacks,
+# for how long, or what it does once its one episode is over fails here.
+
+#: Campaign seed of the attacked golden runs.  At this seed every attacker
+#: launches except the DS-3 random baseline, whose pre-drawn target is out of
+#: view at its start frame, so that case pins the fizzled episode.
+_ATTACK_CAMPAIGN_SEED = 6
+
+
+@dataclass(frozen=True)
+class AttackedDigest:
+    """The fingerprint of one attacked golden run."""
+
+    steps: int
+    #: (event kind value, step index) pairs, in recording order.
+    events: Tuple[Tuple[str, int], ...]
+    #: min ground-truth δ from the attack start, rounded to mm.
+    min_delta_m: float
+    #: The attack record's start frame (None = never launched), K, and the
+    #: number of frames actually perturbed.
+    start_frame: Optional[int]
+    planned_k_frames: int
+    frames_perturbed: int
+
+    @classmethod
+    def of(cls, result: SimulationResult, attacker) -> "AttackedDigest":
+        record = attacker.record
+        return cls(
+            steps=result.steps_executed,
+            events=tuple(
+                (event.kind.value, event.step_index) for event in result.events.events
+            ),
+            min_delta_m=round(result.min_true_delta_from_attack(), 3),
+            start_frame=record.start_frame,
+            planned_k_frames=record.planned_k_frames,
+            frames_perturbed=record.frames_perturbed,
+        )
+
+
+def _attacked_config(scenario_id: str, vector: AttackVector, kind: AttackerKind):
+    return CampaignConfig(
+        campaign_id=f"golden-{scenario_id}-{kind.value}",
+        scenario_id=scenario_id,
+        attacker=kind,
+        vector=vector,
+        n_runs=1,
+        seed=_ATTACK_CAMPAIGN_SEED,
+        predictor=PredictorKind.KINEMATIC,
+    )
+
+
+_ROBOTACK = AttackerKind.ROBOTACK
+_NO_SH = AttackerKind.ROBOTACK_NO_SH
+_RANDOM = AttackerKind.RANDOM
+_DISAPPEAR = ("DS-1", AttackVector.DISAPPEAR)
+_MOVE_IN = ("DS-3", AttackVector.MOVE_IN)
+
+#: Digest per ((scenario, vector), attacker), recorded before attackers went
+#: dormant after their episode; identical on the scalar and batch engines.
+ATTACKED_GOLDEN = {
+    (_DISAPPEAR, _ROBOTACK): AttackedDigest(
+        steps=525, events=(("attack_started", 5), ("attack_ended", 28)),
+        min_delta_m=9.788, start_frame=6, planned_k_frames=24, frames_perturbed=24,
+    ),
+    (_DISAPPEAR, _NO_SH): AttackedDigest(
+        steps=525, events=(("attack_started", 117), ("attack_ended", 153)),
+        min_delta_m=4.699, start_frame=118, planned_k_frames=37, frames_perturbed=37,
+    ),
+    (_DISAPPEAR, _RANDOM): AttackedDigest(
+        steps=525, events=(("attack_started", 147), ("attack_ended", 183)),
+        min_delta_m=4.677, start_frame=148, planned_k_frames=37, frames_perturbed=37,
+    ),
+    (_MOVE_IN, _ROBOTACK): AttackedDigest(
+        steps=300, events=(("attack_started", 35), ("attack_ended", 64)),
+        min_delta_m=float("inf"), start_frame=36, planned_k_frames=30, frames_perturbed=30,
+    ),
+    (_MOVE_IN, _NO_SH): AttackedDigest(
+        steps=300, events=(("attack_started", 117), ("attack_ended", 153)),
+        min_delta_m=float("inf"), start_frame=118, planned_k_frames=37, frames_perturbed=37,
+    ),
+    (_MOVE_IN, _RANDOM): AttackedDigest(
+        steps=300, events=(), min_delta_m=float("inf"),
+        start_frame=None, planned_k_frames=0, frames_perturbed=0,
+    ),
+}
+
+
+def _attacked_run(case, engine: str) -> AttackedDigest:
+    (scenario_id, vector), kind = case
+    config = _attacked_config(scenario_id, vector, kind)
+    setup = _build_run_setup(config, 0)
+    if engine == "scalar":
+        result = Simulator(
+            setup.scenario, setup.ads, config=config.simulation,
+            attacker=setup.attacker, rng=setup.sim_rng,
+        ).run()
+    else:
+        spec = BatchRunSpec(
+            scenario=setup.scenario, ads=setup.ads, attacker=setup.attacker, rng=setup.sim_rng
+        )
+        result = BatchSimulator([spec], config.simulation).run()[0]
+    return AttackedDigest.of(result, setup.attacker)
+
+
+def _case_id(case) -> str:
+    (scenario_id, vector), kind = case
+    return f"{scenario_id}-{vector.value}-{kind.value}"
+
+
+@pytest.mark.parametrize("engine", ["scalar", "batch"])
+@pytest.mark.parametrize("case", sorted(ATTACKED_GOLDEN, key=_case_id), ids=_case_id)
+def test_attacked_golden_digest(case, engine):
+    digest = _attacked_run(case, engine)
+    expected = ATTACKED_GOLDEN[case]
+    assert digest == expected, (
+        f"{_case_id(case)} ({engine}): attacked golden digest drifted.\n"
+        f"  expected: {expected}\n"
+        f"  got:      {digest}"
+    )
+
+
+def test_attacked_golden_digests_in_one_batch():
+    """All six attacked runs as lanes of one batch: spent, fizzled and live
+    lanes share the lockstep loop without disturbing one another."""
+    cases = sorted(ATTACKED_GOLDEN, key=_case_id)
+    setups = []
+    for (scenario_id, vector), kind in cases:
+        config = _attacked_config(scenario_id, vector, kind)
+        setups.append(_build_run_setup(config, 0))
+    results = BatchSimulator([
+        BatchRunSpec(
+            scenario=setup.scenario, ads=setup.ads, attacker=setup.attacker, rng=setup.sim_rng
+        )
+        for setup in setups
+    ]).run()
+    for case, setup, result in zip(cases, setups, results):
+        assert AttackedDigest.of(result, setup.attacker) == ATTACKED_GOLDEN[case], _case_id(case)

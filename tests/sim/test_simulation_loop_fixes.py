@@ -56,6 +56,7 @@ class _AlwaysOnAttacker:
     """Minimal CameraAttacker whose attack never ends on its own."""
 
     target_actor_id = None
+    spent = False
 
     def __init__(self):
         self.attack_active = False
