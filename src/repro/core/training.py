@@ -377,9 +377,11 @@ def collect_safety_dataset(
     and already-stored points are skipped on restart — an interrupted
     collection resumes instead of recomputing.
     """
+    from repro.experiments.store import resolve_store  # lazy: experiments imports us
+
     grid = _expand_jobs(delta_inject_values, k_values, seed, repeats)
     simulation_config = simulation_config or SimulationConfig()
-    resolved_store = _resolve_store(store)
+    resolved_store = resolve_store(store)
     collected: Dict[int, Tuple[List[List[float]], List[float]]] = {}
     if resolved_store is not None:
         collection_hash_ = collection_hash_for(
@@ -448,17 +450,6 @@ def collect_safety_dataset(
         inputs=np.asarray(inputs, dtype=float),
         targets=np.asarray(targets, dtype=float).reshape(-1, 1),
     )
-
-
-def _resolve_store(store: "ExperimentStore | str | Path | None"):
-    """Coerce a store spec to a store (lazy import: experiments imports us)."""
-    if store is None:
-        return None
-    from repro.experiments.store import ExperimentStore
-
-    if isinstance(store, ExperimentStore):
-        return store
-    return ExperimentStore(store)
 
 
 def train_neural_safety_predictor(
@@ -610,8 +601,10 @@ def train_and_register_predictor(
     ``sha256(dataset_hash + training config)`` and indexed by its spec hash
     for lookup by campaign processes.
     """
+    from repro.experiments.store import resolve_store  # lazy: experiments imports us
+
     train_seed = train_seed if train_seed is not None else seed
-    resolved_store = _resolve_store(store)
+    resolved_store = resolve_store(store)
     dataset = collect_safety_dataset(
         scenario_id=scenario_id,
         vector=vector,
@@ -684,7 +677,9 @@ def load_registered_predictor(
     Returns ``None`` when the spec was never trained into this store (or its
     model directory is gone), which callers treat as "train it now".
     """
-    resolved_store = _resolve_store(store)
+    from repro.experiments.store import resolve_store  # lazy: experiments imports us
+
+    resolved_store = resolve_store(store)
     model_hash = resolved_store.resolve_model_spec(spec_hash)
     if model_hash is None or not resolved_store.has_model(model_hash):
         return None

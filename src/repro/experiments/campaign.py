@@ -12,20 +12,27 @@ shares no state with its siblings, so campaigns fan out over the
 :mod:`repro.runtime` executors: ``run_campaign(config, executor=4)`` runs on
 four worker processes and produces *element-wise identical* results to the
 serial path.  Safety-hijacker predictors are trained once per
-(scenario, vector) pair in the parent process and shipped to the workers, and
-both predictors and campaign results live in process-safe
-:class:`~repro.runtime.cache.ArtifactCache` stores (set ``REPRO_CACHE_DIR`` to
-persist them across processes and sessions).
+(scenario, vector) pair in the parent process and shipped to the workers.
+
+Campaign runs and trained oracles persist only through the
+:class:`~repro.experiments.store.ExperimentStore` given as ``store=``.  A call
+without one runs against a process-scoped scratch store in a temp directory:
+it is created on the first store-less call, removed at interpreter exit by the
+process that created it, and discarded early by :func:`clear_caches`.
 """
 
 from __future__ import annotations
 
+import atexit
 import dataclasses
 import enum
 import functools
+import os
+import shutil
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,19 +48,23 @@ from repro.core.safety_hijacker import (
     SafetyPredictor,
 )
 from repro.core.training import (
-    collect_safety_dataset,
     load_registered_predictor,
     train_and_register_predictor,
-    train_neural_safety_predictor,
     training_spec_hash,
 )
 from repro.experiments.results import CampaignResult, RunResult
-from repro.experiments.store import ExperimentStore, RunRecord, config_hash
+from repro.experiments.store import (
+    ExperimentStore,
+    RunRecord,
+    StoreLike,
+    config_hash,
+    resolve_store,
+)
 from repro.perception.detection import DetectorDegradation
 from repro.perception.fusion import DEFAULT_FUSION_POLICY, FusionConfig
 from repro.perception.pipeline import PerceptionConfig
 from repro.sim.actors import ActorKind
-from repro.runtime import ArtifactCache, Executor, ExecutorLike, resolve_executor
+from repro.runtime import ExecutorLike, resolve_executor
 from repro.sim.config import SimulationConfig
 from repro.sim.scenarios import DrivingScenario, ScenarioVariation, build_scenario
 from repro.sim.simulator import SimulationResult, Simulator
@@ -71,17 +82,6 @@ __all__ = [
     "training_grid_for",
     "clear_caches",
 ]
-
-#: Anything the ``store=`` knobs accept: a store instance or its root path.
-StoreLike = Union[ExperimentStore, str, Path, None]
-
-
-def resolve_store(store: StoreLike) -> Optional[ExperimentStore]:
-    """Coerce a store spec (instance, root path, or ``None``) to a store."""
-    if store is None or isinstance(store, ExperimentStore):
-        return store
-    return ExperimentStore(store)
-
 
 class AttackerKind(enum.Enum):
     """Which attacker (if any) is installed on the camera link."""
@@ -122,8 +122,8 @@ _DEFAULT_TRAINING_GRID: Tuple[Tuple[float, ...], Tuple[int, ...]] = (
     (12, 24, 36, 48),
 )
 
-_PREDICTOR_CACHE = ArtifactCache("predictors")
-_CAMPAIGN_CACHE = ArtifactCache("campaigns")
+#: The scratch store behind store-less calls, with the pid that created it.
+_SCRATCH: Optional[Tuple[int, ExperimentStore]] = None
 
 
 def training_grid_for(scenario_id: str) -> Tuple[Tuple[float, ...], Tuple[int, ...]]:
@@ -131,16 +131,32 @@ def training_grid_for(scenario_id: str) -> Tuple[Tuple[float, ...], Tuple[int, .
     return _TRAINING_GRIDS.get(scenario_id, _DEFAULT_TRAINING_GRID)
 
 
-def clear_caches(*, disk: bool = False) -> None:
-    """Drop all cached predictors and campaign results (mainly for tests)."""
-    _PREDICTOR_CACHE.clear(disk=disk)
-    _CAMPAIGN_CACHE.clear(disk=disk)
+def _remove_scratch(owner_pid: int, root: Path) -> None:
+    # Forked pool workers inherit the scratch store; only its creator removes it.
+    if os.getpid() == owner_pid:
+        shutil.rmtree(root, ignore_errors=True)
 
 
-def set_cache_dir(cache_dir) -> None:
-    """Point both artifact caches at a disk directory (``None`` = env default)."""
-    _PREDICTOR_CACHE.set_directory(cache_dir)
-    _CAMPAIGN_CACHE.set_directory(cache_dir)
+def _store_or_scratch(store: StoreLike) -> ExperimentStore:
+    """The given store, or the process-scoped scratch store (created lazily)."""
+    global _SCRATCH
+    resolved = resolve_store(store)
+    if resolved is not None:
+        return resolved
+    if _SCRATCH is None:
+        root = Path(tempfile.mkdtemp(prefix="repro-scratch-"))
+        atexit.register(_remove_scratch, os.getpid(), root)
+        _SCRATCH = (os.getpid(), ExperimentStore(root))
+    return _SCRATCH[1]
+
+
+def clear_caches() -> None:
+    """Discard the scratch store, so store-less calls start from nothing."""
+    global _SCRATCH
+    if _SCRATCH is not None:
+        _remove_scratch(_SCRATCH[0], _SCRATCH[1].root)
+        atexit.unregister(_remove_scratch)
+        _SCRATCH = None
 
 
 @dataclass(frozen=True)
@@ -181,10 +197,10 @@ class CampaignConfig:
         return self.fusion.policy if self.fusion is not None else DEFAULT_FUSION_POLICY
 
     def cache_key(self) -> Tuple:
-        # Every field that changes the campaign's results belongs here: with
-        # the disk cache enabled, two configs differing only in training
-        # epochs or simulation parameters must never shadow each other.  The
-        # experiment store's content address is derived from this same key.
+        # Every field that changes the campaign's results belongs here: the
+        # experiment store's content address is derived from this key, so two
+        # configs differing only in training epochs or simulation parameters
+        # must never share stored runs.
         key = (
             self.campaign_id,
             self.scenario_id,
@@ -288,59 +304,6 @@ def build_ads_agent(
     )
 
 
-def _train_predictor(
-    scenario_id: str,
-    vector: AttackVector,
-    kind: PredictorKind,
-    seed: int,
-    training_epochs: int,
-) -> SafetyPredictor:
-    if kind is PredictorKind.KINEMATIC:
-        return KinematicSafetyPredictor(vector)
-    delta_grid, k_grid = training_grid_for(scenario_id)
-    dataset = collect_safety_dataset(
-        scenario_id=scenario_id,
-        vector=vector,
-        delta_inject_values=delta_grid,
-        k_values=k_grid,
-        seed=seed,
-        repeats=2,
-    )
-    predictor, _ = train_neural_safety_predictor(dataset, epochs=training_epochs, seed=seed)
-    return predictor
-
-
-def _store_backed_predictor(
-    scenario_id: str,
-    vector: AttackVector,
-    seed: int,
-    training_epochs: int,
-    store: ExperimentStore,
-    executor: ExecutorLike = None,
-) -> SafetyPredictor:
-    """Load the registered oracle from the store, or train-and-register it.
-
-    This is the train-once/deploy-many path: the first process (usually
-    ``repro-campaign train``) pays collection + training and publishes the
-    model; every later campaign process — including every restart — reloads
-    the identical weights instead of retraining.
-    """
-    delta_grid, k_grid = training_grid_for(scenario_id)
-    spec_hash = training_spec_hash(
-        scenario_id, vector, delta_grid, k_grid,
-        collect_seed=seed, repeats=2, epochs=training_epochs,
-    )
-    loaded = load_registered_predictor(store, spec_hash)
-    if loaded is not None:
-        return loaded
-    artifact = train_and_register_predictor(
-        scenario_id, vector, delta_grid, k_grid,
-        seed=seed, repeats=2, epochs=training_epochs,
-        executor=executor, store=store,
-    )
-    return artifact.predictor
-
-
 def get_or_train_predictor(
     scenario_id: str,
     vector: AttackVector,
@@ -352,31 +315,30 @@ def get_or_train_predictor(
 ) -> SafetyPredictor:
     """Return the safety-potential oracle for a scenario/vector, training it if needed.
 
-    With a ``store=``, the store's model registry is consulted first (and a
-    freshly trained oracle is published back into it); the dataset collection
-    behind a training miss fans out over ``executor`` and is itself resumable.
+    The kinematic oracle is closed-form and built directly.  The neural one is
+    read from the model registry of ``store`` (the scratch store when none is
+    given); on a miss it is trained and registered there — the
+    train-once/deploy-many path, where every later campaign process reloads
+    the identical weights.  The dataset collection behind a miss fans out
+    over ``executor`` and is itself resumable.
     """
-    # training_epochs is part of the key: with the disk layer enabled, a
-    # predictor trained with different epochs must never shadow this one.
-    cache_key = (scenario_id, vector, kind, seed, training_epochs)
-    resolved_store = resolve_store(store)
-    if resolved_store is not None and kind is PredictorKind.NEURAL:
-        # The store root is part of the key: each store must get its own
-        # publish-to-registry side effect (and its own disk-cache entry), or
-        # a second store would silently never receive the trained model.
-        return _PREDICTOR_CACHE.get_or_create(
-            cache_key + ("store", str(resolved_store.root)),
-            functools.partial(
-                _store_backed_predictor, scenario_id, vector, seed, training_epochs,
-                resolved_store, executor,
-            ),
-        )
-    return _PREDICTOR_CACHE.get_or_create(
-        cache_key,
-        functools.partial(
-            _train_predictor, scenario_id, vector, kind, seed, training_epochs
-        ),
+    if kind is PredictorKind.KINEMATIC:
+        return KinematicSafetyPredictor(vector)
+    resolved_store = _store_or_scratch(store)
+    delta_grid, k_grid = training_grid_for(scenario_id)
+    spec_hash = training_spec_hash(
+        scenario_id, vector, delta_grid, k_grid,
+        collect_seed=seed, repeats=2, epochs=training_epochs,
     )
+    loaded = load_registered_predictor(resolved_store, spec_hash)
+    if loaded is not None:
+        return loaded
+    artifact = train_and_register_predictor(
+        scenario_id, vector, delta_grid, k_grid,
+        seed=seed, repeats=2, epochs=training_epochs,
+        executor=executor, store=resolved_store,
+    )
+    return artifact.predictor
 
 
 def _safety_hijacker_for(
@@ -511,7 +473,7 @@ def run_single_experiment_record(
 
     ``predictor`` lets the campaign runner pre-train the safety-potential
     oracle in the parent process and ship it to worker processes; when omitted
-    (direct calls), the per-process predictor cache is consulted as before.
+    (direct calls), :func:`get_or_train_predictor` resolves it.
     """
     setup = _build_run_setup(config, run_index, predictor=predictor)
     simulator = Simulator(
@@ -614,7 +576,7 @@ def _run_batch_chunk(
     Because every run is independently seeded by :func:`_build_run_setup` and
     the batch engine is bit-identical to the scalar path, the records this
     produces are interchangeable with ``run_single_experiment_record`` output
-    — same cache keys, same store layout, same statistics.
+    — same config hash, same store layout, same statistics.
     """
     from repro.sim.batch import BatchRunSpec, BatchSimulator
 
@@ -640,7 +602,7 @@ def _run_batch_chunk(
 
 def _prepare_predictor(
     config: CampaignConfig,
-    store: Optional[ExperimentStore] = None,
+    store: ExperimentStore,
     executor: ExecutorLike = None,
 ) -> Optional[SafetyPredictor]:
     """Train (or fetch) the predictor a RoboTack campaign needs, in-process.
@@ -648,8 +610,8 @@ def _prepare_predictor(
     Doing this *before* fanning runs out guarantees (a) workers never train
     redundant copies and (b) serial and parallel campaigns use the exact same
     oracle weights — the invariant behind bit-identical campaign statistics.
-    With a ``store``, a pretrained oracle is loaded from its model registry
-    instead of being retrained per process.
+    A pretrained oracle is loaded from the store's model registry instead of
+    being retrained per process.
     """
     if config.attacker is not AttackerKind.ROBOTACK:
         return None
@@ -718,7 +680,6 @@ def _run_campaign_checkpointed(
 
 def run_campaign(
     config: CampaignConfig,
-    use_cache: bool = True,
     executor: ExecutorLike = None,
     store: StoreLike = None,
     engine: str = "scalar",
@@ -729,69 +690,29 @@ def run_campaign(
     ``executor`` accepts anything :func:`repro.runtime.resolve_executor`
     understands: ``None`` (serial), a worker count, or an
     :class:`~repro.runtime.executor.Executor` instance to share a worker pool
-    across campaigns.  Results are cached per process (and on disk when a
-    cache directory is configured).
+    across campaigns.
 
     ``store`` (an :class:`~repro.experiments.store.ExperimentStore` or its
-    root path) switches the campaign to the durable, resumable path: every
-    run is checkpointed to the store as it completes, already-stored runs are
-    skipped, and the opaque pickle cache is bypassed — the store *is* the
-    durable record.
+    root path) is where every run is checkpointed as it completes; runs
+    already stored are skipped, so a repeated or interrupted campaign resumes
+    instead of re-simulating.  Without one, the process's scratch store is
+    used.
 
     ``engine`` selects the simulation engine: ``"scalar"`` (the reference
     :class:`~repro.sim.simulator.Simulator`, one run per work item) or
     ``"batch"`` (the vectorized :class:`~repro.sim.batch.BatchSimulator`,
     ``batch_size`` lockstep runs per work item).  Both produce bit-identical
-    results, so the engine deliberately does not enter the cache key or the
-    store's config hash — a batch campaign resumes a scalar one and
-    vice versa.
+    results, so the engine deliberately does not enter the store's config
+    hash — a batch campaign resumes a scalar one and vice versa.
     """
     _validate_engine(engine, batch_size)
-    resolved_store = resolve_store(store)
-    if resolved_store is not None:
-        return _run_campaign_checkpointed(
-            config, resolved_store, executor, engine=engine, batch_size=batch_size
-        )
-    key = config.cache_key()
-    if use_cache:
-        cached = _CAMPAIGN_CACHE.get(key)
-        if cached is not None:
-            return cached
-    predictor = _prepare_predictor(config)
-    resolved = resolve_executor(executor)
-    try:
-        if engine == "batch":
-            record_chunks = resolved.map(
-                functools.partial(_run_batch_chunk, config, predictor=predictor),
-                _chunked(range(config.n_runs), batch_size),
-            )
-            runs = [record.result for chunk in record_chunks for record in chunk]
-        else:
-            runs = list(
-                resolved.map(
-                    functools.partial(run_single_experiment, config, predictor=predictor),
-                    range(config.n_runs),
-                )
-            )
-    finally:
-        if resolved is not executor:
-            # We created this executor; release its workers even when a run fails.
-            resolved.close()
-    campaign = CampaignResult(
-        campaign_id=config.campaign_id,
-        scenario_id=config.scenario_id,
-        attacker_kind=config.attacker.value,
-        vector=config.vector,
-        runs=runs,
+    return _run_campaign_checkpointed(
+        config, _store_or_scratch(store), executor, engine=engine, batch_size=batch_size
     )
-    if use_cache:
-        _CAMPAIGN_CACHE.put(key, campaign)
-    return campaign
 
 
 def run_campaigns(
     configs: Sequence[CampaignConfig],
-    use_cache: bool = True,
     executor: ExecutorLike = None,
     store: StoreLike = None,
     engine: str = "scalar",
@@ -804,7 +725,6 @@ def run_campaigns(
         return [
             run_campaign(
                 config,
-                use_cache=use_cache,
                 executor=resolved,
                 store=resolved_store,
                 engine=engine,

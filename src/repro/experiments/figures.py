@@ -105,7 +105,6 @@ def fig6_panels_from_configs(
     with_sh: Sequence[CampaignConfig],
     without_sh: Sequence[CampaignConfig],
     executor: ExecutorLike = None,
-    use_cache: bool = True,
 ) -> List[Fig6Panel]:
     """Execute the paired campaigns (optionally in parallel) and build Fig. 6.
 
@@ -113,7 +112,7 @@ def fig6_panels_from_configs(
     pool serves the entire figure.
     """
     configs = list(with_sh) + list(without_sh)
-    results = run_campaigns(configs, use_cache=use_cache, executor=executor)
+    results = run_campaigns(configs, executor=executor)
     return fig6_panels(results[: len(with_sh)], results[len(with_sh):])
 
 
@@ -166,10 +165,9 @@ def fig7_panels(campaigns: Sequence[CampaignResult]) -> List[Fig7Panel]:
 def fig7_panels_from_configs(
     configs: Sequence[CampaignConfig],
     executor: ExecutorLike = None,
-    use_cache: bool = True,
 ) -> List[Fig7Panel]:
     """Execute the campaigns (optionally in parallel) and build Fig. 7."""
-    return fig7_panels(run_campaigns(configs, use_cache=use_cache, executor=executor))
+    return fig7_panels(run_campaigns(configs, executor=executor))
 
 
 def fig7_panels_from_store(

@@ -1,11 +1,11 @@
 """Durable, append-only, content-addressed experiment store.
 
 The paper's evaluation is thousands of Monte-Carlo simulation runs over a
-(scenario x attack-vector x variation) grid.  Before this module, each
-:class:`~repro.experiments.results.CampaignResult` existed only as an opaque
-pickle inside :class:`~repro.runtime.cache.ArtifactCache`: there was no
-queryable record of individual runs and an interrupted campaign restarted
-from zero.  :class:`ExperimentStore` fixes both:
+(scenario x attack-vector x variation) grid.  :class:`ExperimentStore` is the
+one place campaign results and trained oracles persist: every run is a
+queryable record, and an interrupted campaign resumes instead of restarting
+from zero.  (Calls that pass no store run against a process-scoped scratch
+store; see :mod:`repro.experiments.campaign`.)
 
 * every simulation run flattens into a :class:`RunRecord` — campaign config
   hash, per-run seed, the exact :class:`~repro.sim.scenarios.ScenarioVariation`
@@ -98,8 +98,10 @@ __all__ = [
     "OutcomeSummary",
     "AggregateBatch",
     "ExperimentStore",
+    "StoreLike",
     "config_hash",
     "records_equal",
+    "resolve_store",
 ]
 
 #: Bump when the JSONL schema changes incompatibly; readers reject newer majors.
@@ -364,6 +366,17 @@ class AggregateBatch:
     def summaries(self) -> Dict[str, OutcomeSummary]:
         """Per-campaign summaries over every hash this batch has seen."""
         return {config_hash_: self.summary(config_hash_) for config_hash_ in self.outcomes}
+
+
+#: Anything the ``store=`` knobs accept: a store instance or its root path.
+StoreLike = Union["ExperimentStore", str, Path, None]
+
+
+def resolve_store(store: StoreLike) -> Optional["ExperimentStore"]:
+    """Coerce a store spec (instance, root path, or ``None``) to a store."""
+    if store is None or isinstance(store, ExperimentStore):
+        return store
+    return ExperimentStore(store)
 
 
 class ExperimentStore:

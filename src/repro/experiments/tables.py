@@ -145,14 +145,13 @@ def table2_rows(campaigns: Sequence[CampaignResult]) -> List[Table2Row]:
 def table2_from_configs(
     configs: Sequence[CampaignConfig],
     executor: ExecutorLike = None,
-    use_cache: bool = True,
 ) -> List[Table2Row]:
     """Execute the campaigns (optionally in parallel) and build Table II rows.
 
     One executor (and thus one worker pool) is shared across every campaign in
     ``configs`` — the parallel path for regenerating the whole table.
     """
-    return table2_rows(run_campaigns(configs, use_cache=use_cache, executor=executor))
+    return table2_rows(run_campaigns(configs, executor=executor))
 
 
 def table2_from_store(
@@ -166,7 +165,7 @@ def table2_from_store(
     campaign recorded in the store contributes a row.  Campaigns whose runs
     were produced by ``repro-campaign`` with ``--store`` (or any
     ``run_campaign(..., store=...)`` call) are read back from JSONL instead
-    of being recomputed from in-memory lists or opaque pickles.  Incomplete
+    of being recomputed from in-memory lists.  Incomplete
     (interrupted, not yet resumed) campaigns raise rather than contributing
     rates computed over a partial run set, unless ``allow_partial=True``.
     """

@@ -1,9 +1,9 @@
 """The ``repro-campaign`` console entry point.
 
 Runs seeded experiment campaigns from the command line, with parallel
-execution (``--jobs``), disk-backed artifact caching (``--cache-dir``),
-durable per-run recording (``--store``), and the full scenario catalog
-(``--list-scenarios``).  Modes:
+execution (``--jobs``), durable per-run recording (``--store``; without it a
+scratch store lives only as long as the process), and the full scenario
+catalog (``--list-scenarios``).  Modes:
 
 * the default reproduces the paper's Table II evaluation: the six RoboTack
   campaigns plus the DS-5 random baseline, printing the reproduced table and
@@ -107,12 +107,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes (0/1 = serial, -1 = all CPUs)",
     )
     parser.add_argument(
-        "--cache-dir",
-        default=None,
-        action=_TrackedStore,
-        help="persist trained predictors and campaign results under this directory",
-    )
-    parser.add_argument(
         "--store",
         default=None,
         action=_TrackedStore,
@@ -165,11 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=16,
         action=_TrackedStore,
         help="lockstep runs per work item when --engine batch",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action=_TrackedStoreTrue,
-        help="bypass the campaign result cache (predictors are still reused)",
     )
     parser.add_argument(
         "--list-scenarios",
@@ -396,7 +385,7 @@ def _adopt_subcommand_args(args: argparse.Namespace) -> None:
     sweep's own ``--runs`` default win silently); fail loudly and tell the
     user where the flag belongs — even when the typed value equals the
     default (the tracked actions record what was actually provided).  Flags
-    the subcommand does not declare at all (e.g. ``--cache-dir``) are
+    the subcommand does not declare at all (e.g. ``--list-scenarios``) are
     rejected for the same reason.
     """
     provided = sorted(getattr(args, "_provided", set()))
@@ -456,7 +445,6 @@ def _run_table2_suite(args: argparse.Namespace) -> None:
     )
     results = run_campaigns(
         configs,
-        use_cache=not args.no_cache,
         executor=args.jobs,
         store=args.store,
         engine=args.engine,
@@ -534,7 +522,6 @@ def _run_single_campaign(args: argparse.Namespace) -> None:
     print(f"Running {config.campaign_id}: {args.runs} runs (jobs={args.jobs}) ...")
     result = run_campaign(
         config,
-        use_cache=not args.no_cache,
         executor=args.jobs,
         store=args.store,
         engine=args.engine,
@@ -840,11 +827,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.list_scenarios:
         _print_scenarios()
         return 0
-
-    if args.cache_dir:
-        from repro.experiments.campaign import set_cache_dir
-
-        set_cache_dir(args.cache_dir)
 
     if args.command == "sweep":
         _run_sweep(args)

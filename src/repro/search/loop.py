@@ -38,18 +38,14 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.experiments.campaign import (
-    DEFAULT_BATCH_SIZE,
-    CampaignConfig,
-    StoreLike,
-    resolve_store,
-    run_campaigns,
-)
+from repro.experiments.campaign import DEFAULT_BATCH_SIZE, CampaignConfig, run_campaigns
 from repro.experiments.store import (
     ExperimentStore,
     OutcomeSummary,
     RunOutcome,
+    StoreLike,
     config_hash,
+    resolve_store,
 )
 from repro.runtime import ExecutorLike, resolve_executor
 from repro.runtime.cache import encode_key
@@ -373,7 +369,6 @@ class FalsificationLoop:
                 configs = self._configs_for(iteration, assignments)
                 run_campaigns(
                     configs,
-                    use_cache=False,
                     executor=executor,
                     store=self.store,
                     engine=self.engine,

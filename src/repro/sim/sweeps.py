@@ -458,8 +458,8 @@ def expand_campaigns(
 
     Each point clones ``base`` with its assignment applied on top (pinning
     the variation / degrading the detector / adjusting the simulation) and a
-    distinct ``campaign_id`` suffix, so every point is independently seeded,
-    cacheable, and addressable in the experiment store.
+    distinct ``campaign_id`` suffix, so every point is independently seeded
+    and addressable in the experiment store.
     """
     return [
         _apply_assignment(base, assignment, f"{base.campaign_id}-p{index:04d}")

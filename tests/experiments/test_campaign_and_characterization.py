@@ -191,22 +191,23 @@ class TestRunSingleExperiment:
 
 
 class TestRunCampaign:
-    def test_campaign_caching(self):
+    def test_storeless_campaign_matches_stored_campaign(self, tmp_path):
         config = CampaignConfig(
-            campaign_id="cache-ds1",
+            campaign_id="scratch-ds1",
             scenario_id="DS-1",
             attacker=AttackerKind.NONE,
             n_runs=2,
             seed=13,
         )
-        first = run_campaign(config)
-        second = run_campaign(config)
-        assert first is second
-        uncached = run_campaign(config, use_cache=False)
-        assert uncached is not first
-        assert uncached.n_runs == first.n_runs
+        # The reference is simulated directly, without any store in between.
+        direct = [run_single_experiment(config, i) for i in range(config.n_runs)]
+        scratch = run_campaign(config)
+        stored = run_campaign(config, store=tmp_path / "stored")
+        assert scratch.n_runs == stored.n_runs == 2
+        assert all(_results_equal(a, b) for a, b in zip(direct, scratch.runs))
+        assert all(_results_equal(a, b) for a, b in zip(direct, stored.runs))
 
-    def test_random_campaign_runs_end_to_end(self):
+    def test_random_campaign_runs_end_to_end(self, tmp_path):
         config = CampaignConfig(
             campaign_id="random-ds5-smoke",
             scenario_id="DS-5",
@@ -214,7 +215,7 @@ class TestRunCampaign:
             n_runs=2,
             seed=21,
         )
-        campaign = run_campaign(config, use_cache=False)
+        campaign = run_campaign(config, store=tmp_path / "random")
         assert campaign.n_runs == 2
 
 
@@ -257,10 +258,12 @@ class TestBatchEngine:
             assert a.steps_executed == b.steps_executed
             assert a.halted_on_collision == b.halted_on_collision
 
-    def test_batch_campaign_matches_scalar_campaign(self):
+    def test_batch_campaign_matches_scalar_campaign(self, tmp_path):
         config = self._config()
-        scalar = run_campaign(config, use_cache=False, engine="scalar")
-        batch = run_campaign(config, use_cache=False, engine="batch", batch_size=2)
+        scalar = run_campaign(config, store=tmp_path / "scalar", engine="scalar")
+        batch = run_campaign(
+            config, store=tmp_path / "batch", engine="batch", batch_size=2
+        )
         assert batch.n_runs == scalar.n_runs == config.n_runs
         assert all(
             _results_equal(a, b) for a, b in zip(scalar.runs, batch.runs)
@@ -343,42 +346,52 @@ class TestPredictorTraining:
 class TestStoreBackedPredictor:
     """The train-once/deploy-many path: campaigns load oracles from the store."""
 
-    def test_predictor_loads_from_registry_instead_of_retraining(self, tmp_path, monkeypatch):
+    @staticmethod
+    def _forbid_training(monkeypatch) -> None:
         from repro.experiments import campaign as campaign_module
-        from repro.experiments.campaign import clear_caches
-        from repro.experiments.store import ExperimentStore
 
+        def forbidden(*args, **kwargs):  # pragma: no cover - must not run
+            raise AssertionError("a registered oracle must be loaded, not retrained")
+
+        monkeypatch.setattr(campaign_module, "train_and_register_predictor", forbidden)
+
+    def test_predictor_loads_from_registry_instead_of_retraining(self, tmp_path, monkeypatch):
         store = ExperimentStore(tmp_path)
-        clear_caches()
         trained = get_or_train_predictor(
             "DS-2", AttackVector.DISAPPEAR, seed=17, training_epochs=3, store=store
         )
         assert isinstance(trained, NeuralSafetyPredictor)
         assert store.model_hashes()  # the oracle was published
 
-        # A "new process": wipe the in-memory cache and forbid retraining.
-        clear_caches()
-
-        def forbidden(*args, **kwargs):  # pragma: no cover - must not run
-            raise AssertionError("a registered oracle must be loaded, not retrained")
-
-        monkeypatch.setattr(campaign_module, "train_and_register_predictor", forbidden)
+        self._forbid_training(monkeypatch)
         loaded = get_or_train_predictor(
             "DS-2", AttackVector.DISAPPEAR, seed=17, training_epochs=3, store=store
         )
         raw = np.random.default_rng(0).normal(size=(8, 4)) * 10.0
         np.testing.assert_array_equal(loaded.predict_batch(raw), trained.predict_batch(raw))
+
+    def test_storeless_predictor_is_registered_in_the_scratch_store(self, monkeypatch):
+        from repro.experiments.campaign import clear_caches
+
         clear_caches()
+        trained = get_or_train_predictor(
+            "DS-2", AttackVector.DISAPPEAR, seed=17, training_epochs=2
+        )
+        self._forbid_training(monkeypatch)
+        loaded = get_or_train_predictor(
+            "DS-2", AttackVector.DISAPPEAR, seed=17, training_epochs=2
+        )
+        raw = np.random.default_rng(1).normal(size=(8, 4)) * 10.0
+        np.testing.assert_array_equal(loaded.predict_batch(raw), trained.predict_batch(raw))
+        clear_caches()
+        with pytest.raises(AssertionError, match="must be loaded, not retrained"):
+            get_or_train_predictor("DS-2", AttackVector.DISAPPEAR, seed=17, training_epochs=2)
 
     def test_each_store_receives_its_own_published_model(self, tmp_path):
-        # The predictor cache key includes the store root: a second store in
-        # the same process must still get the publish-to-registry side effect.
-        from repro.experiments.campaign import clear_caches
-        from repro.experiments.store import ExperimentStore
-
+        # Each store's registry is consulted on its own: a second store in the
+        # same process must still get the publish-to-registry side effect.
         store_a = ExperimentStore(tmp_path / "a")
         store_b = ExperimentStore(tmp_path / "b")
-        clear_caches()
         get_or_train_predictor(
             "DS-2", AttackVector.DISAPPEAR, seed=17, training_epochs=2, store=store_a
         )
@@ -386,11 +399,8 @@ class TestStoreBackedPredictor:
             "DS-2", AttackVector.DISAPPEAR, seed=17, training_epochs=2, store=store_b
         )
         assert store_a.model_hashes() == store_b.model_hashes() != []
-        clear_caches()
 
     def test_kinematic_predictor_ignores_the_store(self, tmp_path):
-        from repro.experiments.store import ExperimentStore
-
         predictor = get_or_train_predictor(
             "DS-1", AttackVector.DISAPPEAR, kind=PredictorKind.KINEMATIC,
             store=ExperimentStore(tmp_path),

@@ -19,6 +19,7 @@ from repro.experiments.campaign import (
     CampaignConfig,
     clear_caches,
     run_campaign,
+    run_single_experiment,
 )
 from repro.experiments.results import CampaignResult, RunResult
 from repro.experiments.store import ExperimentStore, config_hash
@@ -54,6 +55,17 @@ def assert_runs_identical(a: RunResult, b: RunResult) -> None:
             assert left == right, (name, left, right)
 
 
+def simulated_directly(config: CampaignConfig) -> CampaignResult:
+    """The campaign's runs simulated one by one, never touching a store."""
+    return CampaignResult(
+        campaign_id=config.campaign_id,
+        scenario_id=config.scenario_id,
+        attacker_kind=config.attacker.value,
+        vector=config.vector,
+        runs=[run_single_experiment(config, i) for i in range(config.n_runs)],
+    )
+
+
 def assert_campaigns_identical(a: CampaignResult, b: CampaignResult) -> None:
     assert a.n_runs == b.n_runs
     for left, right in zip(a.runs, b.runs):
@@ -68,9 +80,9 @@ def assert_campaigns_identical(a: CampaignResult, b: CampaignResult) -> None:
 class TestCrashResume:
     def test_interrupted_then_resumed_is_bit_identical_to_clean_serial(self, tmp_path):
         config = _config()
-        clean = run_campaign(config, use_cache=False)
+        clean = simulated_directly(config)
 
-        store = ExperimentStore(tmp_path)
+        store = ExperimentStore(tmp_path / "resumed")
         with pytest.raises(InjectedFault):
             run_campaign(config, store=store, executor=FaultInjectingExecutor(2))
 
@@ -89,9 +101,9 @@ class TestCrashResume:
         # An out-of-order parallel crash leaves an arbitrary subset of run
         # indices behind; order-tagged checkpointing makes the merge exact.
         config = _config(n_runs=6, seed=29)
-        clean = run_campaign(config, use_cache=False)
+        clean = run_campaign(config, store=tmp_path / "clean")
 
-        store = ExperimentStore(tmp_path)
+        store = ExperimentStore(tmp_path / "resumed")
         with ParallelExecutor(max_workers=2) as inner:
             with pytest.raises(InjectedFault):
                 run_campaign(
@@ -117,7 +129,11 @@ class TestCrashResume:
         assert_campaigns_identical(first, second)
 
     def test_store_path_matches_plain_campaign_statistics(self, tmp_path):
+        # The reference never goes through the store: records from real
+        # simulations must survive append -> campaign_result unchanged.
         config = _config(n_runs=4, seed=3)
-        plain = run_campaign(config, use_cache=False)
+        plain = simulated_directly(config)
         stored = run_campaign(config, store=ExperimentStore(tmp_path))
         assert_campaigns_identical(plain, stored)
+        reloaded = ExperimentStore(tmp_path).campaign_result(config)
+        assert_campaigns_identical(plain, reloaded)

@@ -40,20 +40,29 @@ class TestCli:
         with pytest.raises(SystemExit):
             main(["--scenario", "DS-1", "--vector", "teleport", "--runs", "1"])
 
-    def test_cache_dir_flag_routes_artifacts_to_disk(self, tmp_path, capsys):
-        code = main(
-            [
-                "--scenario", "DS-1", "--attacker", "none",
-                "--runs", "1", "--cache-dir", str(tmp_path),
-            ]
-        )
+    @pytest.mark.parametrize(
+        "flags", [["--no-cache"], ["--cache-dir", "artifacts"]], ids=["no-cache", "cache-dir"]
+    )
+    def test_removed_cache_flags_are_rejected(self, flags, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--scenario", "DS-1", "--attacker", "none", "--runs", "1", *flags])
+        # argparse's own usage error (status 2), not a deprecation shim.
+        assert excinfo.value.code == 2
+        assert "repro-campaign: error:" in capsys.readouterr().err
+
+    def test_storeless_run_writes_nothing_to_disk_outside_the_scratch_store(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # REPRO_CACHE_DIR selected the retired pickle cache; it is now ignored.
+        (tmp_path / "cache").mkdir()
+        (tmp_path / "work").mkdir()
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        monkeypatch.chdir(tmp_path / "work")
+        code = main(["--scenario", "DS-1", "--attacker", "none", "--runs", "1"])
         assert code == 0
         capsys.readouterr()
-        assert list(tmp_path.glob("campaigns/*.pkl"))
-        # Restore the caches' default (env-based) directory for other tests.
-        from repro.experiments.campaign import set_cache_dir
-
-        set_cache_dir(None)
+        assert list((tmp_path / "cache").iterdir()) == []
+        assert list((tmp_path / "work").iterdir()) == []
 
     def test_single_campaign_with_batch_engine(self, tmp_path, capsys):
         """--engine batch composes with --store and records every run."""

@@ -102,7 +102,7 @@ class TestGoldenRandomEqualsSweep:
         sweep_configs = sweep_campaigns(
             _base(), SPACE, sampler="random", n=n_points, seed=search_seed
         )
-        sweep_results = run_campaigns(sweep_configs, use_cache=False)
+        sweep_results = run_campaigns(sweep_configs, store=tmp_path / "sweep")
 
         # Same points: reconstruct the search's configs from the sweep's
         # assignments (only the campaign-id prefix differs by design).

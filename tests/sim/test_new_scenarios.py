@@ -104,7 +104,7 @@ class TestDs7FogCrossing:
 
 class TestAllScenariosRunEndToEnd:
     @pytest.mark.parametrize("scenario_id", list_scenario_ids())
-    def test_run_campaign_smoke(self, scenario_id):
+    def test_run_campaign_smoke(self, scenario_id, tmp_path):
         config = CampaignConfig(
             campaign_id=f"smoke-{scenario_id}",
             scenario_id=scenario_id,
@@ -112,6 +112,6 @@ class TestAllScenariosRunEndToEnd:
             n_runs=1,
             seed=31,
         )
-        campaign = run_campaign(config, use_cache=False)
+        campaign = run_campaign(config, store=tmp_path / "smoke")
         assert campaign.n_runs == 1
         assert campaign.runs[0].scenario_id == scenario_id
