@@ -1,12 +1,11 @@
-"""Micro-benchmark: fusion-policy dispatch cost in the batch engine.
+"""Micro-benchmark: fusion-policy cost in the batch engine.
 
-The fusion-policy refactor routed every batch lane's fusion step through
-``_fuse_impl`` (bound per lane from the agent's policy) and widened the
-per-frame estimate tuples to carry track/actor identity for the new policy
-ports.  This benchmark pins that the default ``late`` policy still clears
+Every batch lane calls its agent's own fusion-policy object (the same one
+the scalar pipeline calls) and hands it named-tuple estimate and LiDAR
+records.  This benchmark pins that the default ``late`` policy still clears
 the batch engine's >= 5x runs/sec bound over the scalar loop at N=64 — the
-refactor must be free on the hot path — and records the throughput of the
-other built-in policies for the BENCH output.
+shared policy must be cheap on the hot path — and records the throughput of
+the other built-in policies for the BENCH output.
 
 Like the other benchmarks, ``REPRO_BENCH_STRICT=0`` demotes the assertion
 to a recorded metric for noisy shared runners.

@@ -35,6 +35,7 @@ from repro.core.attack_vectors import AttackVector
 from repro.core.safety_hijacker import AttackDecision, AttackFeatures, SafetyHijacker
 from repro.core.scenario_matcher import ScenarioMatcher, ScenarioMatcherConfig
 from repro.core.trajectory_hijacker import TrajectoryHijacker, TrajectoryHijackerConfig
+from repro.perception.fusion import FusionConfig
 from repro.perception.pipeline import PerceptionConfig, PerceptionSystem
 from repro.perception.transforms import WorldObjectEstimate
 from repro.sensors.camera import CameraFrame
@@ -42,6 +43,9 @@ from repro.sim.actors import ActorKind
 from repro.sim.road import Road
 
 __all__ = ["AttackRecord", "RoboTackConfig", "CameraMitmAttackerBase", "RoboTack"]
+
+#: The malware reconstructs world state from the tapped camera feed alone.
+_CAMERA_ONLY = FusionConfig(policy="camera_only")
 
 #: Nominal half-lengths used to convert centre distance into a bumper gap.
 _HALF_LENGTH_M = {ActorKind.VEHICLE: 2.3, ActorKind.PEDESTRIAN: 0.25}
@@ -81,7 +85,7 @@ class RoboTackConfig:
     matcher: ScenarioMatcherConfig = field(default_factory=ScenarioMatcherConfig)
     hijacker: TrajectoryHijackerConfig = field(default_factory=TrajectoryHijackerConfig)
     perception: PerceptionConfig = field(
-        default_factory=lambda: PerceptionConfig(use_lidar=False)
+        default_factory=lambda: PerceptionConfig(fusion=_CAMERA_ONLY)
     )
 
     @classmethod
@@ -103,7 +107,7 @@ class RoboTackConfig:
         return cls(
             allowed_vectors=tuple(allowed_vectors),
             hijacker=TrajectoryHijackerConfig(detector=detector_config),
-            perception=PerceptionConfig(detector=detector_config, use_lidar=False),
+            perception=PerceptionConfig(detector=detector_config, fusion=_CAMERA_ONLY),
         )
 
 

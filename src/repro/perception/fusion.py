@@ -34,8 +34,8 @@ built-ins ship as first-class victim variants for defense evaluation:
   (:class:`SensorFusion`); the default victim, bit-identical to the
   pre-registry behaviour;
 * ``camera_only`` — the camera estimates pass straight through
-  (:class:`CameraOnlyFusion`); also what ``use_lidar=False`` resolves to,
-  and the pipeline RoboTack runs internally to reconstruct world state;
+  (:class:`CameraOnlyFusion`); also the pipeline RoboTack runs internally to
+  reconstruct world state;
 * ``lidar_only`` — obstacles come from LiDAR returns alone
   (:class:`LidarOnlyFusion`); immune to camera perturbation but blind to
   camera-only objects (distant pedestrians) and classification-poor;
@@ -43,14 +43,24 @@ built-ins ship as first-class victim variants for defense evaluation:
   the two modalities disagree laterally (:class:`ConsistencyGatedFusion`),
   a sparse-fusion-style defense whose arbitration is itself an attack
   surface (perturb one modality, exploit the gate).
+
+Each policy is the single implementation of its semantics: the scalar
+``PerceptionSystem`` and every lane of the batch engine call the same policy
+object, so a third-party policy runs on either engine.  The policies are
+written as plain-float kernels because the batch engine calls them once per
+lane per frame: track state lives in slotted objects, blend weights and their
+complements are fixed at construction, and the records crossing the policy
+boundary (:class:`~repro.perception.transforms.WorldObjectEstimate`,
+:class:`~repro.sensors.lidar.LidarDetection`, :class:`FusedObstacle`) are
+named tuples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Protocol, Tuple
+from dataclasses import dataclass
+from typing import Callable, Dict, List, NamedTuple, Optional, Protocol, Sequence, Tuple
 
-from repro.perception.transforms import WorldObjectEstimate
+from repro.perception.transforms import WorldObjectEstimate, by_distance
 from repro.runtime.registry import Registry
 from repro.sensors.lidar import LidarScan
 from repro.sim.actors import ActorKind
@@ -59,6 +69,8 @@ __all__ = [
     "FusionConfig",
     "FusedObstacle",
     "FusionPolicy",
+    "BlendWeights",
+    "blend_weights",
     "SensorFusion",
     "CameraOnlyFusion",
     "LidarOnlyFusion",
@@ -163,9 +175,12 @@ class FusionConfig:
             )
 
 
-@dataclass(frozen=True)
-class FusedObstacle:
-    """One obstacle in the ADS world model."""
+class FusedObstacle(NamedTuple):
+    """One obstacle in the ADS world model.
+
+    A named tuple rather than a dataclass: every policy builds one per
+    registered obstacle per frame, on both simulation engines.
+    """
 
     obstacle_id: str
     kind: ActorKind
@@ -183,55 +198,114 @@ class FusedObstacle:
     actor_id: Optional[int] = None
 
 
-@dataclass
-class _FusedTrack:
-    key: str
-    kind: ActorKind
-    actor_id: Optional[int]
-    lateral_history: List[float] = field(default_factory=list)
-    camera_frames_seen: int = 0
-    lidar_scans_seen: int = 0
-    frames_since_camera: int = 10_000
-    scans_since_lidar: int = 10_000
-    camera_distance_m: float = 0.0
-    camera_lateral_m: float = 0.0
-    camera_rel_velocity_mps: float = 0.0
-    lidar_distance_m: float = 0.0
-    lidar_lateral_m: float = 0.0
-    lidar_speed_mps: float = 0.0
-    fused_lateral_m: float = 0.0
-    fused_distance_m: float = 0.0
-    lateral_velocity_mps: float = 0.0
-    registered: bool = False
-    camera_track_id: Optional[int] = None
-    has_camera_history: bool = field(default=False)
+#: ``_record(FusedObstacle, values)`` builds an obstacle from its field values
+#: in field order.  The policies build one per obstacle per frame, and the
+#: generated ``FusedObstacle(...)`` constructor's argument parsing costs about
+#: as much as the tuple itself.
+_record = tuple.__new__
 
-    @property
-    def camera_recent(self) -> bool:
-        return self.frames_since_camera == 0
+#: ``FusedObstacle.sources`` by which modalities are fresh.
+_CAMERA_AND_LIDAR = ("camera", "lidar")
+_CAMERA = ("camera",)
+_LIDAR = ("lidar",)
+_NO_SOURCE = ()
 
-    @property
-    def lidar_recent(self) -> bool:
-        return self.scans_since_lidar <= 2
+#: Camera blend weights and their complements, fixed per policy:
+#: ``(lateral, 1 - lateral, distance, 1 - distance)``.
+BlendWeights = Tuple[float, float, float, float]
+
+
+def blend_weights(lateral: float, distance: float) -> BlendWeights:
+    """The :data:`BlendWeights` of camera weights ``lateral`` and ``distance``."""
+    return (lateral, 1.0 - lateral, distance, 1.0 - distance)
+
+
+class _LateralVelocity:
+    """Lateral-velocity estimator shared by the tracking policies.
+
+    The lateral offset is differenced over up to
+    ``lateral_velocity_baseline_frames`` frames and exponentially smoothed; a
+    jump of more than 1 m within one frame is an association or source
+    switch, not physical motion, so it restarts the baseline instead of
+    masquerading as lateral velocity.  Tracks carry ``lateral_history`` and
+    ``lateral_velocity_mps``.
+    """
+
+    __slots__ = ("alpha", "keep", "history_len")
+
+    def __init__(self, config: FusionConfig):
+        self.alpha = config.lateral_velocity_smoothing
+        self.keep = 1 - config.lateral_velocity_smoothing
+        self.history_len = config.lateral_velocity_baseline_frames + 1
+
+    def observe(self, track, lateral: float, frame_dt_s: float) -> None:
+        """Fold a fresh lateral measurement into ``track``'s estimate."""
+        history = track.lateral_history
+        if history and abs(lateral - history[-1]) > 1.0:
+            history.clear()
+            track.lateral_velocity_mps = 0.0
+        history.append(lateral)
+        if len(history) > self.history_len:
+            del history[: -self.history_len]
+        span = len(history) - 1
+        raw = (history[-1] - history[0]) / (span * frame_dt_s) if span else 0.0
+        track.lateral_velocity_mps = self.keep * track.lateral_velocity_mps + self.alpha * raw
+
+
+class _Fused:
+    """Camera and LiDAR evidence of one object under the late policies."""
+
+    __slots__ = ("obstacle_id", "kind", "actor_id", "lateral_history",
+                 "camera_frames_seen", "lidar_scans_seen",
+                 "frames_since_camera", "scans_since_lidar",
+                 "camera_distance_m", "camera_lateral_m", "camera_rel_velocity_mps",
+                 "lidar_distance_m", "lidar_lateral_m", "lidar_speed_mps",
+                 "fused_lateral_m", "fused_distance_m", "lateral_velocity_mps",
+                 "registered", "has_camera_history")
+
+    def __init__(self, obstacle_id: str, kind: ActorKind, actor_id: Optional[int],
+                 lateral_m: float, distance_m: float):
+        self.obstacle_id = obstacle_id
+        self.kind = kind
+        self.actor_id = actor_id
+        self.lateral_history: List[float] = []
+        self.camera_frames_seen = 0
+        self.lidar_scans_seen = 0
+        self.frames_since_camera = 10_000
+        self.scans_since_lidar = 10_000
+        self.camera_distance_m = 0.0
+        self.camera_lateral_m = 0.0
+        self.camera_rel_velocity_mps = 0.0
+        self.lidar_distance_m = 0.0
+        self.lidar_lateral_m = 0.0
+        self.lidar_speed_mps = 0.0
+        self.fused_lateral_m = lateral_m
+        self.fused_distance_m = distance_m
+        self.lateral_velocity_mps = 0.0
+        self.registered = False
+        self.has_camera_history = False
 
 
 class SensorFusion:
     """Blends camera world estimates and LiDAR scans into the ADS world model.
 
     This is the ``late`` fusion policy — the paper's default victim.  The
-    camera/LiDAR blend weights are factored into :meth:`_blend_weights` so
-    that :class:`ConsistencyGatedFusion` can override the arbitration without
-    duplicating the track lifecycle; with the base weights the arithmetic is
-    bit-identical to the pre-policy implementation.
+    camera/LiDAR arbitration is factored into :meth:`_blend_weights` so that
+    :class:`ConsistencyGatedFusion` (or a third-party subclass) can override
+    it without duplicating the track lifecycle.
     """
 
     def __init__(self, config: FusionConfig | None = None):
         self.config = config or FusionConfig()
-        self._tracks: Dict[str, _FusedTrack] = {}
+        self._weights = blend_weights(
+            self.config.camera_weight, self.config.camera_distance_weight
+        )
+        self._lateral_velocity = _LateralVelocity(self.config)
+        self._tracks: Dict[Tuple[str, int], _Fused] = {}
 
-    def _blend_weights(self, track: _FusedTrack) -> Tuple[float, float]:
-        """(lateral, distance) camera weights for a camera+LiDAR-fresh track."""
-        return (self.config.camera_weight, self.config.camera_distance_weight)
+    def _blend_weights(self, track: _Fused) -> BlendWeights:
+        """Camera weights (with complements) for a camera+LiDAR-fresh track."""
+        return self._weights
 
     def reset(self) -> None:
         """Drop all fused tracks."""
@@ -239,121 +313,65 @@ class SensorFusion:
 
     def step(
         self,
-        camera_estimates: List[WorldObjectEstimate],
+        camera_estimates: Sequence[WorldObjectEstimate],
         lidar_scan: Optional[LidarScan],
         ego_speed_mps: float,
         frame_dt_s: float,
     ) -> List[FusedObstacle]:
         """Fuse one frame of camera estimates with the latest LiDAR scan."""
-        for track in self._tracks.values():
+        cfg = self.config
+        tracks = self._tracks
+        for track in tracks.values():
             track.frames_since_camera += 1
             if lidar_scan is not None:
                 track.scans_since_lidar += 1
 
-        self._ingest_camera(camera_estimates)
-        if lidar_scan is not None:
-            self._ingest_lidar(lidar_scan)
-
-        self._update_registration()
-        self._drop_stale_tracks()
-        return self._build_obstacles(ego_speed_mps, frame_dt_s)
-
-    # ------------------------------------------------------------------ #
-    # Ingestion
-    # ------------------------------------------------------------------ #
-
-    def _ingest_camera(self, estimates: List[WorldObjectEstimate]) -> None:
-        for estimate in estimates:
-            track = self._find_or_create_camera_track(estimate)
+        # --- ingestion ---
+        for estimate in camera_estimates:
+            key = ("cam", estimate.track_id)
+            track = tracks.get(key)
+            if track is None:
+                # A new camera track may correspond to an existing fused track
+                # (for example a LiDAR-only object, or a camera track that was
+                # re-created after a misdetection burst); associate by spatial
+                # proximity so the evidence accumulates in one place instead
+                # of spawning duplicates.
+                track = self._nearest_track(estimate.distance_m, estimate.lateral_m)
+                if track is None:
+                    track = tracks[key] = _Fused(
+                        f"cam-{estimate.track_id}", estimate.kind, estimate.actor_id,
+                        estimate.lateral_m, estimate.distance_m,
+                    )
             track.camera_frames_seen += 1
             track.frames_since_camera = 0
             track.camera_distance_m = estimate.distance_m
             track.camera_lateral_m = estimate.lateral_m
             track.camera_rel_velocity_mps = estimate.relative_longitudinal_velocity_mps
-            track.camera_track_id = estimate.track_id
             track.actor_id = estimate.actor_id
             track.kind = estimate.kind
             track.has_camera_history = True
 
-    def _find_or_create_camera_track(self, estimate: WorldObjectEstimate) -> _FusedTrack:
-        key = f"cam-{estimate.track_id}"
-        if key in self._tracks:
-            return self._tracks[key]
-        # A new camera track may correspond to an existing fused track (for
-        # example a LiDAR-only object, or a camera track that was re-created
-        # after a misdetection burst); associate by spatial proximity so the
-        # evidence accumulates in one place instead of spawning duplicates.
-        nearest = self._nearest_track(
-            estimate.distance_m, estimate.lateral_m, require_lidar=False
-        )
-        if nearest is not None:
-            return nearest
-        track = _FusedTrack(
-            key=key,
-            kind=estimate.kind,
-            actor_id=estimate.actor_id,
-            fused_lateral_m=estimate.lateral_m,
-            fused_distance_m=estimate.distance_m,
-        )
-        self._tracks[key] = track
-        return track
-
-    def _ingest_lidar(self, scan: LidarScan) -> None:
-        for detection in scan.detections:
-            track = self._nearest_track(
-                detection.distance_m, detection.lateral_m, require_lidar=False
-            )
-            if track is None:
-                key = f"lidar-{detection.actor_id}"
-                track = self._tracks.get(key)
+        if lidar_scan is not None:
+            for detection in lidar_scan.detections:
+                track = self._nearest_track(detection.distance_m, detection.lateral_m)
                 if track is None:
-                    track = _FusedTrack(
-                        key=key,
-                        kind=detection.kind,
-                        actor_id=detection.actor_id,
-                        fused_lateral_m=detection.lateral_m,
-                        fused_distance_m=detection.distance_m,
-                    )
-                    self._tracks[key] = track
-            track.lidar_scans_seen += 1
-            track.scans_since_lidar = 0
-            track.lidar_distance_m = detection.distance_m
-            track.lidar_lateral_m = detection.lateral_m
-            track.lidar_speed_mps = detection.velocity.x
-            if track.actor_id is None:
-                track.actor_id = detection.actor_id
+                    key = ("lidar", detection.actor_id)
+                    track = tracks.get(key)
+                    if track is None:
+                        track = tracks[key] = _Fused(
+                            f"lidar-{detection.actor_id}", detection.kind,
+                            detection.actor_id, detection.lateral_m, detection.distance_m,
+                        )
+                track.lidar_scans_seen += 1
+                track.scans_since_lidar = 0
+                track.lidar_distance_m = detection.distance_m
+                track.lidar_lateral_m = detection.lateral_m
+                track.lidar_speed_mps = detection.longitudinal_speed_mps
+                if track.actor_id is None:
+                    track.actor_id = detection.actor_id
 
-    def _nearest_track(
-        self, distance_m: float, lateral_m: float, require_lidar: bool
-    ) -> Optional[_FusedTrack]:
-        best: Optional[_FusedTrack] = None
-        best_distance = (
-            self.config.association_gate_m
-            + self.config.association_gate_range_factor * max(0.0, distance_m)
-        )
-        for track in self._tracks.values():
-            if require_lidar and track.lidar_scans_seen == 0:
-                continue
-            if not require_lidar and not track.has_camera_history and not track.lidar_recent:
-                continue
-            ref_distance = track.fused_distance_m
-            ref_lateral = track.fused_lateral_m
-            # Lateral disagreement is weighted heavily: a one-lane lateral
-            # offset means a different object even when the ranges are close
-            # (e.g. an oncoming vehicle passing the lead vehicle).
-            separation = abs(ref_distance - distance_m) + 2.5 * abs(ref_lateral - lateral_m)
-            if separation < best_distance:
-                best_distance = separation
-                best = track
-        return best
-
-    # ------------------------------------------------------------------ #
-    # Lifecycle
-    # ------------------------------------------------------------------ #
-
-    def _update_registration(self) -> None:
-        cfg = self.config
-        for track in self._tracks.values():
+        # --- lifecycle: registration, then timeouts ---
+        for track in tracks.values():
             if track.registered:
                 continue
             if track.camera_frames_seen > 0 and track.lidar_scans_seen > 0:
@@ -365,112 +383,99 @@ class SensorFusion:
             elif track.lidar_scans_seen >= cfg.lidar_only_registration_scans:
                 track.registered = True
 
-    def _drop_stale_tracks(self) -> None:
-        cfg = self.config
-        stale: List[str] = []
-        for key, track in self._tracks.items():
+        stale = []
+        for key, track in tracks.items():
             if track.has_camera_history:
-                if track.lidar_recent:
-                    if track.frames_since_camera > cfg.lidar_backed_timeout_frames:
-                        stale.append(key)
-                elif track.frames_since_camera > cfg.camera_only_timeout_frames:
+                timeout = (
+                    cfg.lidar_backed_timeout_frames
+                    if track.scans_since_lidar <= 2
+                    else cfg.camera_only_timeout_frames
+                )
+                if track.frames_since_camera > timeout:
                     stale.append(key)
             elif track.scans_since_lidar > cfg.lidar_only_timeout_scans:
                 stale.append(key)
         for key in stale:
-            del self._tracks[key]
+            del tracks[key]
 
-    # ------------------------------------------------------------------ #
-    # Output
-    # ------------------------------------------------------------------ #
-
-    def _build_obstacles(self, ego_speed_mps: float, frame_dt_s: float) -> List[FusedObstacle]:
-        cfg = self.config
+        # --- output ---
+        lateral_velocity = self._lateral_velocity
         obstacles: List[FusedObstacle] = []
-        for track in self._tracks.values():
-            sources: List[str] = []
+        for track in tracks.values():
             camera_fresh = track.frames_since_camera <= 2 and track.camera_frames_seen > 0
-            lidar_fresh = track.lidar_recent and track.lidar_scans_seen > 0
-            if camera_fresh:
-                sources.append("camera")
-            if lidar_fresh:
-                sources.append("lidar")
-
+            lidar_fresh = track.scans_since_lidar <= 2 and track.lidar_scans_seen > 0
             if camera_fresh and lidar_fresh:
-                lateral_weight, distance_weight = self._blend_weights(track)
+                lateral_w, lidar_lateral_w, distance_w, lidar_distance_w = (
+                    self._blend_weights(track)
+                )
                 lateral = (
-                    lateral_weight * track.camera_lateral_m
-                    + (1.0 - lateral_weight) * track.lidar_lateral_m
+                    lateral_w * track.camera_lateral_m + lidar_lateral_w * track.lidar_lateral_m
                 )
                 distance = (
-                    distance_weight * track.camera_distance_m
-                    + (1.0 - distance_weight) * track.lidar_distance_m
+                    distance_w * track.camera_distance_m
+                    + lidar_distance_w * track.lidar_distance_m
                 )
                 speed = track.lidar_speed_mps
+                sources = _CAMERA_AND_LIDAR
             elif camera_fresh:
                 lateral = track.camera_lateral_m
                 distance = track.camera_distance_m
-                speed = max(0.0, ego_speed_mps + track.camera_rel_velocity_mps)
+                speed = ego_speed_mps + track.camera_rel_velocity_mps
+                speed = speed if speed > 0.0 else 0.0
+                sources = _CAMERA
             elif lidar_fresh:
                 lateral = track.lidar_lateral_m
                 distance = track.lidar_distance_m
                 speed = track.lidar_speed_mps
+                sources = _LIDAR
             else:
                 # Coast on the last fused state while the track is kept alive.
                 lateral = track.fused_lateral_m
                 distance = track.fused_distance_m
-                speed = track.lidar_speed_mps if track.lidar_scans_seen else max(
-                    0.0, ego_speed_mps + track.camera_rel_velocity_mps
-                )
+                if track.lidar_scans_seen:
+                    speed = track.lidar_speed_mps
+                else:
+                    speed = ego_speed_mps + track.camera_rel_velocity_mps
+                    speed = speed if speed > 0.0 else 0.0
+                sources = _NO_SOURCE
 
-            alpha = cfg.lateral_velocity_smoothing
-            baseline = cfg.lateral_velocity_baseline_frames
-            if not camera_fresh and not lidar_fresh:
+            if sources:
+                lateral_velocity.observe(track, lateral, frame_dt_s)
+            else:
                 # Coasting: no new measurement, so the lateral velocity decays
                 # instead of being re-estimated from stale data.
                 track.lateral_velocity_mps *= 0.8
-            else:
-                if (
-                    track.lateral_history
-                    and abs(lateral - track.lateral_history[-1]) > 1.0
-                ):
-                    # A jump this large within one frame is an association or
-                    # source switch, not physical motion; restart the baseline
-                    # so it does not masquerade as lateral velocity.
-                    track.lateral_history.clear()
-                    track.lateral_velocity_mps = 0.0
-                track.lateral_history.append(lateral)
-                if len(track.lateral_history) > baseline + 1:
-                    del track.lateral_history[: -(baseline + 1)]
-                if len(track.lateral_history) >= 2:
-                    span = len(track.lateral_history) - 1
-                    raw_lateral_velocity = (
-                        track.lateral_history[-1] - track.lateral_history[0]
-                    ) / (span * frame_dt_s)
-                else:
-                    raw_lateral_velocity = 0.0
-                track.lateral_velocity_mps = (
-                    (1 - alpha) * track.lateral_velocity_mps + alpha * raw_lateral_velocity
-                )
             track.fused_lateral_m = lateral
             track.fused_distance_m = distance
 
-            if not track.registered:
-                continue
-            obstacles.append(
-                FusedObstacle(
-                    obstacle_id=track.key,
-                    kind=track.kind,
-                    distance_m=distance,
-                    lateral_m=lateral,
-                    longitudinal_speed_mps=speed,
-                    lateral_velocity_mps=track.lateral_velocity_mps,
-                    sources=tuple(sources),
-                    actor_id=track.actor_id,
-                )
-            )
-        obstacles.sort(key=lambda o: o.distance_m)
+            if track.registered:
+                obstacles.append(_record(FusedObstacle, (
+                    track.obstacle_id, track.kind, distance, lateral, speed,
+                    track.lateral_velocity_mps, sources, track.actor_id,
+                )))
+        obstacles.sort(key=by_distance)
         return obstacles
+
+    def _nearest_track(self, distance_m: float, lateral_m: float) -> Optional[_Fused]:
+        """The closest live track within the range-widened association gate."""
+        cfg = self.config
+        best: Optional[_Fused] = None
+        best_separation = cfg.association_gate_m + cfg.association_gate_range_factor * (
+            distance_m if distance_m > 0.0 else 0.0
+        )
+        for track in self._tracks.values():
+            if not track.has_camera_history and track.scans_since_lidar > 2:
+                continue
+            # Lateral disagreement is weighted heavily: a one-lane lateral
+            # offset means a different object even when the ranges are close
+            # (e.g. an oncoming vehicle passing the lead vehicle).
+            separation = abs(track.fused_distance_m - distance_m) + 2.5 * abs(
+                track.fused_lateral_m - lateral_m
+            )
+            if separation < best_separation:
+                best_separation = separation
+                best = track
+        return best
 
 
 class ConsistencyGatedFusion(SensorFusion):
@@ -484,25 +489,28 @@ class ConsistencyGatedFusion(SensorFusion):
     hijacker that perturbs one modality controls when the gate trips.
     """
 
-    def _blend_weights(self, track: _FusedTrack) -> Tuple[float, float]:
+    def __init__(self, config: FusionConfig | None = None):
+        super().__init__(config)
         cfg = self.config
-        if abs(track.camera_lateral_m - track.lidar_lateral_m) > cfg.consistency_gate_m:
-            return (
-                cfg.camera_weight * cfg.consistency_camera_penalty,
-                cfg.camera_distance_weight * cfg.consistency_camera_penalty,
-            )
-        return (cfg.camera_weight, cfg.camera_distance_weight)
+        self._gated_weights = blend_weights(
+            cfg.camera_weight * cfg.consistency_camera_penalty,
+            cfg.camera_distance_weight * cfg.consistency_camera_penalty,
+        )
+
+    def _blend_weights(self, track: _Fused) -> BlendWeights:
+        if abs(track.camera_lateral_m - track.lidar_lateral_m) > self.config.consistency_gate_m:
+            return self._gated_weights
+        return self._weights
 
 
 class CameraOnlyFusion:
     """Pass the camera world estimates straight through as the world model.
 
-    Bit-identical to the camera-only branch `PerceptionSystem` used to inline
-    for ``use_lidar=False`` (which now resolves to this policy): one obstacle
-    per camera estimate, in estimate order (already distance-sorted by the
-    transform stage), with the ego-relative velocity re-absolutized.  This is
-    also the reconstruction pipeline RoboTack runs inside the attacked
-    process, so it sits on the attacked golden-trace path.
+    One obstacle per camera estimate, in estimate order (already
+    distance-sorted by the transform stage), with the ego-relative velocity
+    re-absolutized.  This is also the reconstruction pipeline RoboTack runs
+    inside the attacked process, so it sits on the attacked golden-trace
+    path.
     """
 
     def __init__(self, config: FusionConfig | None = None):
@@ -513,40 +521,41 @@ class CameraOnlyFusion:
 
     def step(
         self,
-        camera_estimates: List[WorldObjectEstimate],
+        camera_estimates: Sequence[WorldObjectEstimate],
         lidar_scan: Optional[LidarScan],
         ego_speed_mps: float,
         frame_dt_s: float,
     ) -> List[FusedObstacle]:
-        return [
-            FusedObstacle(
-                obstacle_id=f"cam-{estimate.track_id}",
-                kind=estimate.kind,
-                distance_m=estimate.distance_m,
-                lateral_m=estimate.lateral_m,
-                longitudinal_speed_mps=max(
-                    0.0, ego_speed_mps + estimate.relative_longitudinal_velocity_mps
-                ),
-                lateral_velocity_mps=estimate.lateral_velocity_mps,
-                sources=("camera",),
-                actor_id=estimate.actor_id,
-            )
-            for estimate in camera_estimates
-        ]
+        obstacles = []
+        for estimate in camera_estimates:
+            speed = ego_speed_mps + estimate.relative_longitudinal_velocity_mps
+            obstacles.append(_record(FusedObstacle, (
+                f"cam-{estimate.track_id}", estimate.kind, estimate.distance_m,
+                estimate.lateral_m, speed if speed > 0.0 else 0.0,
+                estimate.lateral_velocity_mps, _CAMERA, estimate.actor_id,
+            )))
+        return obstacles
 
 
-@dataclass
-class _LidarOnlyTrack:
-    kind: ActorKind
-    actor_id: int
-    distance_m: float = 0.0
-    lateral_m: float = 0.0
-    speed_mps: float = 0.0
-    scans_seen: int = 0
-    scans_since: int = 10_000
-    lateral_history: List[float] = field(default_factory=list)
-    lateral_velocity_mps: float = 0.0
-    registered: bool = False
+class _LidarOnly:
+    """One LiDAR-tracked object under the ``lidar_only`` policy."""
+
+    __slots__ = ("obstacle_id", "kind", "actor_id", "distance_m", "lateral_m",
+                 "speed_mps", "scans_seen", "scans_since", "lateral_history",
+                 "lateral_velocity_mps", "registered")
+
+    def __init__(self, kind: ActorKind, actor_id: int):
+        self.obstacle_id = f"lidar-{actor_id}"
+        self.kind = kind
+        self.actor_id = actor_id
+        self.distance_m = 0.0
+        self.lateral_m = 0.0
+        self.speed_mps = 0.0
+        self.scans_seen = 0
+        self.scans_since = 10_000
+        self.lateral_history: List[float] = []
+        self.lateral_velocity_mps = 0.0
+        self.registered = False
 
 
 class LidarOnlyFusion:
@@ -559,14 +568,14 @@ class LidarOnlyFusion:
     registration persistence (``fused_registration_frames`` scans: LiDAR-only
     here is the *primary* channel, not an unclassified residue, so it
     registers at the fused cadence) and the scan-domain timeout
-    (``lidar_only_timeout_scans``).  The lateral-velocity estimator reuses the
-    late policy's jump-reset + differenced-baseline + exponential smoothing,
-    evaluated only on frames that carry a scan.
+    (``lidar_only_timeout_scans``).  The lateral velocity is the late
+    policy's estimator, evaluated only on frames that carry a scan.
     """
 
     def __init__(self, config: FusionConfig | None = None):
         self.config = config or FusionConfig()
-        self._tracks: Dict[int, _LidarOnlyTrack] = {}
+        self._lateral_velocity = _LateralVelocity(self.config)
+        self._tracks: Dict[int, _LidarOnly] = {}
 
     def reset(self) -> None:
         """Drop all LiDAR tracks."""
@@ -574,7 +583,7 @@ class LidarOnlyFusion:
 
     def step(
         self,
-        camera_estimates: List[WorldObjectEstimate],
+        camera_estimates: Sequence[WorldObjectEstimate],
         lidar_scan: Optional[LidarScan],
         ego_speed_mps: float,
         frame_dt_s: float,
@@ -587,13 +596,14 @@ class LidarOnlyFusion:
             for detection in lidar_scan.detections:
                 track = tracks.get(detection.actor_id)
                 if track is None:
-                    track = _LidarOnlyTrack(kind=detection.kind, actor_id=detection.actor_id)
-                    tracks[detection.actor_id] = track
+                    track = tracks[detection.actor_id] = _LidarOnly(
+                        detection.kind, detection.actor_id
+                    )
                 track.scans_seen += 1
                 track.scans_since = 0
                 track.distance_m = detection.distance_m
                 track.lateral_m = detection.lateral_m
-                track.speed_mps = detection.velocity.x
+                track.speed_mps = detection.longitudinal_speed_mps
                 track.kind = detection.kind
                 if not track.registered and track.scans_seen >= cfg.fused_registration_frames:
                     track.registered = True
@@ -605,43 +615,19 @@ class LidarOnlyFusion:
             for actor_id in stale:
                 del tracks[actor_id]
 
+        lateral_velocity = self._lateral_velocity
         obstacles: List[FusedObstacle] = []
-        alpha = cfg.lateral_velocity_smoothing
-        baseline = cfg.lateral_velocity_baseline_frames
         for track in tracks.values():
             if track.scans_since == 0:
-                history = track.lateral_history
-                if history and abs(track.lateral_m - history[-1]) > 1.0:
-                    history.clear()
-                    track.lateral_velocity_mps = 0.0
-                history.append(track.lateral_m)
-                if len(history) > baseline + 1:
-                    del history[: -(baseline + 1)]
-                if len(history) >= 2:
-                    span = len(history) - 1
-                    raw_lateral_velocity = (history[-1] - history[0]) / (span * frame_dt_s)
-                else:
-                    raw_lateral_velocity = 0.0
-                track.lateral_velocity_mps = (
-                    (1 - alpha) * track.lateral_velocity_mps + alpha * raw_lateral_velocity
-                )
+                lateral_velocity.observe(track, track.lateral_m, frame_dt_s)
             else:
                 track.lateral_velocity_mps *= 0.8
-            if not track.registered:
-                continue
-            obstacles.append(
-                FusedObstacle(
-                    obstacle_id=f"lidar-{track.actor_id}",
-                    kind=track.kind,
-                    distance_m=track.distance_m,
-                    lateral_m=track.lateral_m,
-                    longitudinal_speed_mps=track.speed_mps,
-                    lateral_velocity_mps=track.lateral_velocity_mps,
-                    sources=("lidar",),
-                    actor_id=track.actor_id,
-                )
-            )
-        obstacles.sort(key=lambda o: o.distance_m)
+            if track.registered:
+                obstacles.append(_record(FusedObstacle, (
+                    track.obstacle_id, track.kind, track.distance_m, track.lateral_m,
+                    track.speed_mps, track.lateral_velocity_mps, _LIDAR, track.actor_id,
+                )))
+        obstacles.sort(key=by_distance)
         return obstacles
 
 
@@ -654,7 +640,7 @@ class FusionPolicy(Protocol):
 
     def step(
         self,
-        camera_estimates: List[WorldObjectEstimate],
+        camera_estimates: Sequence[WorldObjectEstimate],
         lidar_scan: Optional[LidarScan],
         ego_speed_mps: float,
         frame_dt_s: float,
@@ -662,8 +648,8 @@ class FusionPolicy(Protocol):
 
 
 #: Registry of fusion-policy factories (``FusionConfig -> FusionPolicy``).
-#: Third-party policies register here and become sweepable/CLI-selectable;
-#: the batch engine only ports the built-ins and rejects anything else.
+#: Third-party policies register here and become sweepable/CLI-selectable on
+#: both engines.
 FUSION_POLICIES: Registry[Callable[[FusionConfig], "FusionPolicy"]] = Registry(
     "fusion policy"
 )
@@ -676,7 +662,7 @@ FUSION_POLICIES.register(
 FUSION_POLICIES.register(
     "camera_only",
     CameraOnlyFusion,
-    description="camera estimates pass through; use_lidar=False alias",
+    description="camera estimates pass through (RoboTack's own reconstruction)",
 )
 FUSION_POLICIES.register(
     "lidar_only",

@@ -12,13 +12,18 @@ differences, mirroring how the paper's perception derives object trajectories
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from operator import attrgetter
+from typing import Dict, List, NamedTuple, Optional
 
 from repro.geometry import CameraProjection
 from repro.perception.tracker import ObjectTrack
 from repro.sim.actors import ActorKind
 
 __all__ = ["WorldObjectEstimate", "ImageToWorldTransform"]
+
+#: Sort key of the distance-ordered records (estimates, obstacles, LiDAR
+#: detections), which all carry a ``distance_m`` field.
+by_distance = attrgetter("distance_m")
 
 #: Nominal physical heights used to invert the projection, per object class.
 NOMINAL_HEIGHT_M = {
@@ -27,9 +32,12 @@ NOMINAL_HEIGHT_M = {
 }
 
 
-@dataclass(frozen=True)
-class WorldObjectEstimate:
-    """Road-frame estimate of one tracked object, relative to the ego camera."""
+class WorldObjectEstimate(NamedTuple):
+    """Road-frame estimate of one tracked object, relative to the ego camera.
+
+    A named tuple rather than a dataclass: both simulation engines build one
+    per tracked object per frame.
+    """
 
     track_id: int
     actor_id: int
@@ -97,7 +105,7 @@ class ImageToWorldTransform:
         for track_id in list(self._history):
             if track_id not in live_track_ids:
                 del self._history[track_id]
-        estimates.sort(key=lambda e: e.distance_m)
+        estimates.sort(key=by_distance)
         return estimates
 
     def _transform_track(self, track: ObjectTrack) -> Optional[WorldObjectEstimate]:

@@ -15,45 +15,41 @@ reproduction:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 import numpy as np
 
-from repro.geometry import Vec2
 from repro.sim.actors import ActorKind
 from repro.sim.world import GroundTruthSnapshot
 
 __all__ = ["LidarDetection", "LidarScan", "LidarSensor"]
 
 
-@dataclass(frozen=True)
-class LidarDetection:
-    """One LiDAR-detected object, in the ego (road-aligned) frame."""
+class LidarDetection(NamedTuple):
+    """One LiDAR-detected object, in the ego (road-aligned) frame.
+
+    Named tuples of plain floats, like the scan itself: both simulation
+    engines build one per detected object per scan.
+    """
 
     actor_id: int
     kind: ActorKind
-    #: Position of the object centre relative to the ego front bumper.
-    relative_position: Vec2
-    #: Velocity of the object relative to the ground (road frame).
-    velocity: Vec2
-
-    @property
-    def distance_m(self) -> float:
-        return self.relative_position.x
-
-    @property
-    def lateral_m(self) -> float:
-        return self.relative_position.y
+    #: Longitudinal position of the object centre relative to the ego front bumper.
+    distance_m: float
+    #: Lateral position of the object centre relative to the ego centreline.
+    lateral_m: float
+    #: Longitudinal velocity of the object relative to the ground (road frame).
+    longitudinal_speed_mps: float
+    #: Lateral velocity of the object relative to the ground (road frame).
+    lateral_velocity_mps: float
 
 
-@dataclass(frozen=True)
-class LidarScan:
+class LidarScan(NamedTuple):
     """All objects detected in one LiDAR rotation."""
 
     time_s: float
     frame_index: int
-    detections: tuple[LidarDetection, ...] = field(default_factory=tuple)
+    detections: tuple[LidarDetection, ...] = ()
 
     def detection_for_actor(self, actor_id: int) -> Optional[LidarDetection]:
         """The detection of a specific actor, if present in this scan."""
@@ -101,8 +97,10 @@ class LidarSensor:
                 LidarDetection(
                     actor_id=actor.actor_id,
                     kind=actor.kind,
-                    relative_position=Vec2(distance + noise_x, actor.position.y - ego.position.y + noise_y),
-                    velocity=actor.velocity,
+                    distance_m=distance + noise_x,
+                    lateral_m=actor.position.y - ego.position.y + noise_y,
+                    longitudinal_speed_mps=actor.velocity.x,
+                    lateral_velocity_mps=actor.velocity.y,
                 )
             )
         detections.sort(key=lambda d: d.distance_m)

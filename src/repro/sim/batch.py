@@ -5,8 +5,10 @@ within one process.  The expensive numerical kernel — the per-track Kalman
 predict/update of the multi-object tracker — is batched across *all* live
 tracks of *all* lanes into stacked ``(M, 6)`` state / ``(M, 6, 6)`` covariance
 arrays, while the cheap-but-branchy per-lane logic (sensor rendering, detector
-noise, association, fusion, planning) runs as straight-line Python over plain
-floats.  The scalar :class:`~repro.sim.simulator.Simulator` remains the
+noise, association, planning) runs as straight-line Python over plain floats.
+Fusion is not ported: each lane calls its agent's own fusion policy, the same
+object the scalar pipeline calls, so any registered or custom policy runs on
+either engine.  The scalar :class:`~repro.sim.simulator.Simulator` remains the
 reference path; the batch engine is validated against it bit-for-bit by the
 equivalence suite (``tests/sim/test_batch_equivalence.py``).
 
@@ -36,18 +38,15 @@ final state) for any lane set, by construction:
   ``KalmanFilter``; NumPy evaluates a stacked matmul as the identical sequence
   of dot products per stack element, so the results are bit-identical.
 * **Per-lane ports** — camera projection, detection noise, IoU/Hungarian
-  association, image-to-world transform, camera/LiDAR fusion, IDM planning,
-  PID trim, and actuation smoothing are literal ports of the scalar code with
-  identical evaluation order (including float left-associativity).
+  association, image-to-world transform, IDM planning, PID trim, and
+  actuation smoothing are literal ports of the scalar code with identical
+  evaluation order (including float left-associativity).
 
 Restrictions (the scalar path has none of these):
 
 * every lane shares one :class:`SimulationConfig` (lockstep needs one ``dt``);
 * the agents must be freshly built or reset (no live tracks or transform
-  history) and run one of the built-in fusion policies (``late``,
-  ``consistency_gated``, ``camera_only``, ``lidar_only``), each of which has a
-  plain-float port here; third-party fusion policies need the scalar
-  Simulator;
+  history);
 * attackers must not have processed a frame yet.
 
 Both restrictions are checked at construction and raise ``ValueError``.
@@ -74,17 +73,11 @@ from repro.ads.prediction import _NOMINAL_HALF_LENGTH_M, _NOMINAL_HALF_WIDTH_M
 from repro.ads.safety import SafetyModel
 from repro.geometry.bbox import BoundingBox
 from repro.geometry.vec import Vec2
-from repro.perception.fusion import (
-    CameraOnlyFusion,
-    ConsistencyGatedFusion,
-    LidarOnlyFusion,
-    SensorFusion,
-)
 from repro.perception.hungarian import hungarian_assignment
-from repro.perception.transforms import NOMINAL_HEIGHT_M
+from repro.perception.transforms import NOMINAL_HEIGHT_M, WorldObjectEstimate, by_distance
 from repro.sensors.camera import CameraFrame, CameraObject, CameraSensor
 from repro.sensors.gps_imu import GpsImuSensor
-from repro.sensors.lidar import LidarSensor
+from repro.sensors.lidar import LidarDetection, LidarScan, LidarSensor
 from repro.sim.actors import ActorKind, ActorSnapshot
 from repro.sim.config import SimulationConfig
 from repro.sim.events import EventKind, EventLog, SimulationEvent
@@ -98,7 +91,10 @@ if TYPE_CHECKING:  # pragma: no cover - type hints only
 __all__ = ["BatchRunSpec", "BatchSimulator"]
 
 _first = itemgetter(0)
-_second = itemgetter(1)
+#: ``_record(Record, values)`` builds a named-tuple record from its field
+#: values in field order, without the argument parsing of ``Record(...)``;
+#: the lanes build several per step.
+_record = tuple.__new__
 
 # --------------------------------------------------------------------------- #
 # Batched Kalman filter (constant matrices shared by every track)
@@ -284,14 +280,17 @@ class _LaneActor:
 class _Track:
     """Tracker bookkeeping for one pooled Kalman row."""
 
-    __slots__ = ("track_id", "kind", "actor_id", "row", "hits", "misses",
+    __slots__ = ("track_id", "kind", "actor_id", "row", "born", "hits", "misses",
                  "pred_cx", "pred_cy", "pred_w", "pred_h", "cx", "cy", "w", "h")
 
-    def __init__(self, track_id, kind, actor_id, row, cx, cy, w, h):
+    def __init__(self, track_id, kind, actor_id, row, born, cx, cy, w, h):
         self.track_id = track_id
         self.kind = kind
         self.actor_id = actor_id
         self.row = row
+        #: Loop step of the first detection (every live track is predicted
+        #: once per step, so its age is the steps since, plus one).
+        self.born = born
         self.hits = 1
         self.misses = 0
         self.pred_cx = cx
@@ -302,57 +301,6 @@ class _Track:
         self.cy = cy
         self.w = self.pred_w
         self.h = self.pred_h
-
-
-class _Fused:
-    """Plain-float port of the fusion module's ``_FusedTrack``."""
-
-    __slots__ = ("kind", "actor_id", "camera_frames_seen", "lidar_scans_seen",
-                 "frames_since_camera", "scans_since_lidar",
-                 "camera_distance", "camera_lateral", "camera_rel_velocity",
-                 "lidar_distance", "lidar_lateral", "lidar_speed",
-                 "fused_lateral", "fused_distance", "lateral_velocity",
-                 "lateral_history", "has_camera_history", "registered")
-
-    def __init__(self, kind, actor_id, lateral, distance):
-        self.kind = kind
-        self.actor_id = actor_id
-        self.camera_frames_seen = 0
-        self.lidar_scans_seen = 0
-        self.frames_since_camera = 10_000
-        self.scans_since_lidar = 10_000
-        self.camera_distance = 0.0
-        self.camera_lateral = 0.0
-        self.camera_rel_velocity = 0.0
-        self.lidar_distance = 0.0
-        self.lidar_lateral = 0.0
-        self.lidar_speed = 0.0
-        self.fused_lateral = lateral
-        self.fused_distance = distance
-        self.lateral_velocity = 0.0
-        self.lateral_history: List[float] = []
-        self.has_camera_history = False
-        self.registered = False
-
-
-class _LidarOnly:
-    """Plain-float port of the fusion module's ``_LidarOnlyTrack``."""
-
-    __slots__ = ("kind", "actor_id", "distance", "lateral", "speed",
-                 "scans_seen", "scans_since", "lateral_history",
-                 "lateral_velocity", "registered")
-
-    def __init__(self, kind, actor_id):
-        self.kind = kind
-        self.actor_id = actor_id
-        self.distance = 0.0
-        self.lateral = 0.0
-        self.speed = 0.0
-        self.scans_seen = 0
-        self.scans_since = 10_000
-        self.lateral_history: List[float] = []
-        self.lateral_velocity = 0.0
-        self.registered = False
 
 
 @dataclass
@@ -409,26 +357,6 @@ class _Lane:
         rng = spec.rng if spec.rng is not None else np.random.default_rng()
         sensor_seeds = rng.integers(0, 2**31 - 1, size=2)
 
-        fusion_type = type(perception.fusion)
-        # Exact-type dispatch: a third-party subclass has unknown semantics
-        # and must not silently run the base class's port.  The subclass
-        # ConsistencyGatedFusion is listed before its base SensorFusion only
-        # for readability — ``type() is`` does not chase the MRO.
-        if fusion_type is ConsistencyGatedFusion:
-            self.fusion_mode = "consistency_gated"
-        elif fusion_type is SensorFusion:
-            self.fusion_mode = "late"
-        elif fusion_type is CameraOnlyFusion:
-            self.fusion_mode = "camera_only"
-        elif fusion_type is LidarOnlyFusion:
-            self.fusion_mode = "lidar_only"
-        else:
-            raise ValueError(
-                "BatchSimulator has plain-float ports of the built-in fused "
-                f"fusion policies only; got {fusion_type.__name__}. Use the "
-                "scalar Simulator for custom fusion policies"
-            )
-
         self.pool = pool
         self.dt = config.dt
         self.max_steps = min(config.max_steps, int(round(scenario.duration_s / self.dt)))
@@ -469,41 +397,8 @@ class _Lane:
         self.tf_min_d = proj.MIN_DISTANCE_M
         self.tf_hist: Dict[int, List[float]] = {}
 
-        # --- fusion ---
-        f_cfg = perception.fusion.config
-        self.cam_w = f_cfg.camera_weight
-        self.om_cam_w = 1.0 - f_cfg.camera_weight
-        self.cam_dw = f_cfg.camera_distance_weight
-        self.om_cam_dw = 1.0 - f_cfg.camera_distance_weight
-        self.fused_reg = f_cfg.fused_registration_frames
-        self.cam_reg = f_cfg.camera_only_registration_frames
-        self.lidar_reg = f_cfg.lidar_only_registration_scans
-        self.cam_timeout = f_cfg.camera_only_timeout_frames
-        self.lidar_backed_timeout = f_cfg.lidar_backed_timeout_frames
-        self.lidar_timeout = f_cfg.lidar_only_timeout_scans
-        self.gate = f_cfg.association_gate_m
-        self.gate_factor = f_cfg.association_gate_range_factor
-        self.falpha = f_cfg.lateral_velocity_smoothing
-        self.om_falpha = 1 - f_cfg.lateral_velocity_smoothing
-        self.baseline_p1 = f_cfg.lateral_velocity_baseline_frames + 1
-        self.fusion_tracks: Dict[tuple, _Fused] = {}
-        # Consistency gate (consistency_gated policy): the penalized weights
-        # are formed as weight * penalty, the same operands and order as the
-        # scalar ConsistencyGatedFusion._blend_weights, so they stay
-        # bit-identical.
-        self.cons_enabled = self.fusion_mode == "consistency_gated"
-        self.cons_gate = f_cfg.consistency_gate_m
-        self.pen_cam_w = f_cfg.camera_weight * f_cfg.consistency_camera_penalty
-        self.om_pen_cam_w = 1.0 - self.pen_cam_w
-        self.pen_cam_dw = f_cfg.camera_distance_weight * f_cfg.consistency_camera_penalty
-        self.om_pen_cam_dw = 1.0 - self.pen_cam_dw
-        self.lidar_only_tracks: Dict[int, _LidarOnly] = {}
-        if self.fusion_mode == "camera_only":
-            self._fuse_impl = self._fuse_camera_only
-        elif self.fusion_mode == "lidar_only":
-            self._fuse_impl = self._fuse_lidar_only
-        else:
-            self._fuse_impl = self._fuse
+        # --- fusion: the agent's own policy object ---
+        self.fusion = perception.fusion
 
         # --- planner / PID / smoother ---
         p_cfg = ads.planner_config
@@ -615,7 +510,7 @@ class _Lane:
         self.emergency_was_active = False
         self.halted = False
         self.done = False
-        self.last_lidar: Optional[List[tuple]] = None
+        self.last_lidar: Optional[LidarScan] = None
         self.gps_speed = 0.0
 
         # Mirror the scalar pre-loop collision check: actors spawned already
@@ -658,7 +553,7 @@ class _Lane:
         return objects
 
     def _scan(self) -> None:
-        """LiDAR scan into ``last_lidar``: (distance, lateral, aid, kind, vx)."""
+        """LiDAR scan into ``last_lidar``."""
         ego_front = self.ego_x + self.ego_half_len
         ego_y = self.ego_y
         noise = self.lidar_noise
@@ -674,11 +569,13 @@ class _Lane:
             noise_x = noise[cursor]
             noise_y = noise[cursor + 1]
             cursor += 2
-            detections.append((distance + noise_x, actor.y - ego_y + noise_y,
-                               actor.actor_id, actor.kind, actor.vx))
+            detections.append(_record(LidarDetection, (
+                actor.actor_id, actor.kind, distance + noise_x, actor.y - ego_y + noise_y,
+                actor.vx, actor.vy,
+            )))
         self.lidar_cursor = cursor
-        detections.sort(key=_first)
-        self.last_lidar = detections
+        detections.sort(key=by_distance)
+        self.last_lidar = _record(LidarScan, (self.time_s, self.step, tuple(detections)))
 
     # ------------------------------------------------------------------ #
     # pre_step: sensing -> attack -> detection -> association
@@ -902,7 +799,8 @@ class _Lane:
             tid = self.next_tid
             self.next_tid += 1
             row = self.pool.alloc(det[0], det[1], det[2], det[3])
-            tracks[tid] = _Track(tid, det[4], det[5], row, det[0], det[1], det[2], det[3])
+            tracks[tid] = _Track(tid, det[4], det[5], row, self.loop_step,
+                                 det[0], det[1], det[2], det[3])
 
         stale = [tid for tid, track in tracks.items() if track.misses > self.max_misses]
         for tid in stale:
@@ -922,7 +820,6 @@ class _Lane:
         frame_dt = self.frame_dt
         alpha = self.tf_alpha
         om_alpha = self.tf_om_alpha
-        # (distance, lateral, rel_velocity, lateral_velocity, track_id, actor_id, kind)
         estimates = []
         for track in self.observed:
             height_px = track.h
@@ -937,6 +834,7 @@ class _Lane:
                 history[track.track_id] = [distance, lateral, 0.0, 0.0, 0.0]
                 velocity = 0.0
                 lateral_velocity = 0.0
+                acceleration = 0.0
             else:
                 raw_v = (distance - record[0]) / frame_dt
                 raw_lv = (lateral - record[1]) / frame_dt
@@ -949,27 +847,29 @@ class _Lane:
                 record[2] = velocity
                 record[3] = lateral_velocity
                 record[4] = acceleration
-            estimates.append((distance, lateral, velocity, lateral_velocity,
-                              track.track_id, track.actor_id, track.kind))
+            estimates.append(_record(WorldObjectEstimate, (
+                track.track_id, track.actor_id, track.kind, distance, lateral,
+                velocity, acceleration, lateral_velocity,
+                self.loop_step - track.born + 1,
+            )))
         if history:
             live = {track.track_id for track in self.observed}
             for tid in [tid for tid in history if tid not in live]:
                 del history[tid]
-        estimates.sort(key=_first)
+        estimates.sort(key=by_distance)
 
-        # --- fusion (dispatched on the lane's fusion policy) ---
-        obstacles = self._fuse_impl(estimates)
+        obstacles = self.fusion.step(estimates, self.last_lidar, self.gps_speed, frame_dt)
 
         # --- planning (LongitudinalPlanner port) ---
         ego_speed = self.gps_speed
         target_speed = self.cruise
         for obstacle in obstacles:
-            if obstacle[0] is not ActorKind.PEDESTRIAN:
+            if obstacle.kind is not ActorKind.PEDESTRIAN:
                 continue
-            if not 0.0 < obstacle[1] <= self.ped_range:
+            if not 0.0 < obstacle.distance_m <= self.ped_range:
                 continue
             margin = self.ped_margin + self.hw_ped
-            if self.lane_lo - margin <= obstacle[2] <= self.lane_hi + margin:
+            if self.lane_lo - margin <= obstacle.lateral_m <= self.lane_hi + margin:
                 target_speed = min(target_speed, self.ped_caution_speed)
                 break
 
@@ -988,20 +888,20 @@ class _Lane:
         # obstacles are distance-sorted, so the first relevant one is the lead.
         lead = None
         for obstacle in obstacles:
-            distance = obstacle[1]
+            distance = obstacle.distance_m
             if distance <= 0:
                 continue
-            half_w = self.hw_veh if obstacle[0] is ActorKind.VEHICLE else self.hw_ped
+            half_w = self.hw_veh if obstacle.kind is ActorKind.VEHICLE else self.hw_ped
             margin = self.lat_margin + half_w
             lo = self.lane_lo - margin
             hi = self.lane_hi + margin
-            lateral = obstacle[2]
+            lateral = obstacle.lateral_m
             if lo <= lateral <= hi:
                 lead = obstacle
                 break
             if distance < self.min_pred_dist:
                 continue
-            lateral_speed = obstacle[4]
+            lateral_speed = obstacle.lateral_velocity_mps
             if abs(lateral_speed) < self.min_lat_speed:
                 lateral_speed = 0.0
             if lo <= lateral + lateral_speed * self.horizon <= hi:
@@ -1017,11 +917,11 @@ class _Lane:
             perceived = float("inf")
         else:
             self.cycles_since_lead_lost = 0
-            half_len = self.hl_veh if lead[0] is ActorKind.VEHICLE else self.hl_ped
-            gap = lead[1] - half_len
+            half_len = self.hl_veh if lead.kind is ActorKind.VEHICLE else self.hl_ped
+            gap = lead.distance_m - half_len
             if not gap > 0.1:
                 gap = 0.1
-            lead_speed = lead[3]
+            lead_speed = lead.longitudinal_speed_mps
             if not lead_speed > 0.0:
                 lead_speed = 0.0
             closing = ego_speed - lead_speed
@@ -1139,238 +1039,6 @@ class _Lane:
             self._halt(hit, perceived)
         elif self.loop_step >= self.max_steps:
             self._finish()
-
-    # ------------------------------------------------------------------ #
-    # Fusion (SensorFusion.step port)
-    # ------------------------------------------------------------------ #
-
-    def _nearest_fused(self, distance: float, lateral: float) -> Optional[_Fused]:
-        best = None
-        best_sep = self.gate + self.gate_factor * (distance if distance > 0.0 else 0.0)
-        for fused in self.fusion_tracks.values():
-            if not fused.has_camera_history and not fused.scans_since_lidar <= 2:
-                continue
-            separation = abs(fused.fused_distance - distance) + 2.5 * abs(
-                fused.fused_lateral - lateral
-            )
-            if separation < best_sep:
-                best_sep = separation
-                best = fused
-        return best
-
-    def _fuse(self, estimates: List[tuple]) -> List[tuple]:
-        """Returns distance-sorted (kind, distance, lateral, speed, lat_vel).
-
-        Port of ``SensorFusion`` (the ``late`` policy) — and, through the
-        weight selection in the camera+LiDAR-fresh branch, of
-        ``ConsistencyGatedFusion`` when ``cons_enabled`` is set.
-        """
-        tracks = self.fusion_tracks
-        lidar = self.last_lidar
-        for fused in tracks.values():
-            fused.frames_since_camera += 1
-            if lidar is not None:
-                fused.scans_since_lidar += 1
-
-        for distance, lateral, velocity, _lat_vel, track_id, actor_id, kind in estimates:
-            key = ("cam", track_id)
-            fused = tracks.get(key)
-            if fused is None:
-                fused = self._nearest_fused(distance, lateral)
-                if fused is None:
-                    fused = _Fused(kind, actor_id, lateral, distance)
-                    tracks[key] = fused
-            fused.camera_frames_seen += 1
-            fused.frames_since_camera = 0
-            fused.camera_distance = distance
-            fused.camera_lateral = lateral
-            fused.camera_rel_velocity = velocity
-            fused.actor_id = actor_id
-            fused.kind = kind
-            fused.has_camera_history = True
-
-        if lidar is not None:
-            for distance, lateral, actor_id, kind, speed in lidar:
-                fused = self._nearest_fused(distance, lateral)
-                if fused is None:
-                    key = ("lidar", actor_id)
-                    fused = tracks.get(key)
-                    if fused is None:
-                        fused = _Fused(kind, actor_id, lateral, distance)
-                        tracks[key] = fused
-                fused.lidar_scans_seen += 1
-                fused.scans_since_lidar = 0
-                fused.lidar_distance = distance
-                fused.lidar_lateral = lateral
-                fused.lidar_speed = speed
-                if fused.actor_id is None:
-                    fused.actor_id = actor_id
-
-        for fused in tracks.values():
-            if fused.registered:
-                continue
-            if fused.camera_frames_seen > 0 and fused.lidar_scans_seen > 0:
-                if fused.camera_frames_seen >= self.fused_reg:
-                    fused.registered = True
-            elif fused.camera_frames_seen > 0:
-                if fused.camera_frames_seen >= self.cam_reg:
-                    fused.registered = True
-            elif fused.lidar_scans_seen >= self.lidar_reg:
-                fused.registered = True
-
-        stale = []
-        for key, fused in tracks.items():
-            if fused.has_camera_history:
-                timeout = (
-                    self.lidar_backed_timeout
-                    if fused.scans_since_lidar <= 2
-                    else self.cam_timeout
-                )
-                if fused.frames_since_camera > timeout:
-                    stale.append(key)
-            elif fused.scans_since_lidar > self.lidar_timeout:
-                stale.append(key)
-        for key in stale:
-            del tracks[key]
-
-        ego_speed = self.gps_speed
-        obstacles = []
-        for fused in tracks.values():
-            camera_fresh = fused.frames_since_camera <= 2 and fused.camera_frames_seen > 0
-            lidar_fresh = fused.scans_since_lidar <= 2 and fused.lidar_scans_seen > 0
-            if camera_fresh and lidar_fresh:
-                if self.cons_enabled and (
-                    abs(fused.camera_lateral - fused.lidar_lateral) > self.cons_gate
-                ):
-                    lateral = (
-                        self.pen_cam_w * fused.camera_lateral
-                        + self.om_pen_cam_w * fused.lidar_lateral
-                    )
-                    distance = (
-                        self.pen_cam_dw * fused.camera_distance
-                        + self.om_pen_cam_dw * fused.lidar_distance
-                    )
-                else:
-                    lateral = (
-                        self.cam_w * fused.camera_lateral + self.om_cam_w * fused.lidar_lateral
-                    )
-                    distance = (
-                        self.cam_dw * fused.camera_distance + self.om_cam_dw * fused.lidar_distance
-                    )
-                speed = fused.lidar_speed
-            elif camera_fresh:
-                lateral = fused.camera_lateral
-                distance = fused.camera_distance
-                speed = ego_speed + fused.camera_rel_velocity
-                if not speed > 0.0:
-                    speed = 0.0
-            elif lidar_fresh:
-                lateral = fused.lidar_lateral
-                distance = fused.lidar_distance
-                speed = fused.lidar_speed
-            else:
-                lateral = fused.fused_lateral
-                distance = fused.fused_distance
-                if fused.lidar_scans_seen:
-                    speed = fused.lidar_speed
-                else:
-                    speed = ego_speed + fused.camera_rel_velocity
-                    if not speed > 0.0:
-                        speed = 0.0
-            if not camera_fresh and not lidar_fresh:
-                fused.lateral_velocity *= 0.8
-            else:
-                lat_history = fused.lateral_history
-                if lat_history and abs(lateral - lat_history[-1]) > 1.0:
-                    lat_history.clear()
-                    fused.lateral_velocity = 0.0
-                lat_history.append(lateral)
-                if len(lat_history) > self.baseline_p1:
-                    del lat_history[: -self.baseline_p1]
-                n = len(lat_history)
-                if n >= 2:
-                    raw = (lat_history[-1] - lat_history[0]) / ((n - 1) * self.frame_dt)
-                else:
-                    raw = 0.0
-                fused.lateral_velocity = (
-                    self.om_falpha * fused.lateral_velocity + self.falpha * raw
-                )
-            fused.fused_lateral = lateral
-            fused.fused_distance = distance
-            if fused.registered:
-                obstacles.append((fused.kind, distance, lateral, speed,
-                                  fused.lateral_velocity))
-        obstacles.sort(key=_second)
-        return obstacles
-
-    def _fuse_camera_only(self, estimates: List[tuple]) -> List[tuple]:
-        """Port of ``CameraOnlyFusion``: camera estimates pass straight through.
-
-        Estimates are already distance-sorted, matching the scalar policy's
-        output order, so no re-sort is needed.
-        """
-        ego_speed = self.gps_speed
-        obstacles = []
-        for distance, lateral, velocity, lat_vel, _track_id, _actor_id, kind in estimates:
-            speed = ego_speed + velocity
-            if not speed > 0.0:
-                speed = 0.0
-            obstacles.append((kind, distance, lateral, speed, lat_vel))
-        return obstacles
-
-    def _fuse_lidar_only(self, estimates: List[tuple]) -> List[tuple]:
-        """Port of ``LidarOnlyFusion``: the world model from LiDAR alone."""
-        tracks = self.lidar_only_tracks
-        lidar = self.last_lidar
-        if lidar is not None:
-            for track in tracks.values():
-                track.scans_since += 1
-            for distance, lateral, actor_id, kind, speed in lidar:
-                track = tracks.get(actor_id)
-                if track is None:
-                    track = _LidarOnly(kind, actor_id)
-                    tracks[actor_id] = track
-                track.scans_seen += 1
-                track.scans_since = 0
-                track.distance = distance
-                track.lateral = lateral
-                track.speed = speed
-                track.kind = kind
-                if not track.registered and track.scans_seen >= self.fused_reg:
-                    track.registered = True
-            stale = [
-                actor_id
-                for actor_id, track in tracks.items()
-                if track.scans_since > self.lidar_timeout
-            ]
-            for actor_id in stale:
-                del tracks[actor_id]
-
-        obstacles = []
-        for track in tracks.values():
-            if track.scans_since == 0:
-                lat_history = track.lateral_history
-                if lat_history and abs(track.lateral - lat_history[-1]) > 1.0:
-                    lat_history.clear()
-                    track.lateral_velocity = 0.0
-                lat_history.append(track.lateral)
-                if len(lat_history) > self.baseline_p1:
-                    del lat_history[: -self.baseline_p1]
-                n = len(lat_history)
-                if n >= 2:
-                    raw = (lat_history[-1] - lat_history[0]) / ((n - 1) * self.frame_dt)
-                else:
-                    raw = 0.0
-                track.lateral_velocity = (
-                    self.om_falpha * track.lateral_velocity + self.falpha * raw
-                )
-            else:
-                track.lateral_velocity *= 0.8
-            if track.registered:
-                obstacles.append((track.kind, track.distance, track.lateral,
-                                  track.speed, track.lateral_velocity))
-        obstacles.sort(key=_second)
-        return obstacles
 
     # ------------------------------------------------------------------ #
     # Ground truth, collision, halt, result

@@ -9,6 +9,7 @@ from repro.core.robotack import RoboTack, RoboTackConfig
 from repro.core.safety_hijacker import KinematicSafetyPredictor, SafetyHijacker
 from repro.experiments.campaign import build_ads_agent
 from repro.perception.detection import DetectorConfig, DetectorNoiseModel
+from repro.perception.fusion import FusionConfig
 from repro.perception.pipeline import PerceptionConfig
 from repro.sensors.camera import CameraSensor
 from repro.sim.batch import BatchRunSpec, BatchSimulator
@@ -37,7 +38,9 @@ def quiet_config(vector: AttackVector) -> RoboTackConfig:
     )
     return RoboTackConfig(
         allowed_vectors=(vector,),
-        perception=PerceptionConfig(detector=detector, use_lidar=False),
+        perception=PerceptionConfig(
+            detector=detector, fusion=FusionConfig(policy="camera_only")
+        ),
     )
 
 

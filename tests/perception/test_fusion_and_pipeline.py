@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.geometry import Vec2
 from repro.perception.fusion import (
     FUSION_POLICIES,
     CameraOnlyFusion,
@@ -46,8 +45,10 @@ def lidar_detection(distance, lateral, kind=ActorKind.VEHICLE, actor_id=1, speed
     return LidarDetection(
         actor_id=actor_id,
         kind=kind,
-        relative_position=Vec2(distance, lateral),
-        velocity=Vec2(speed, 0.0),
+        distance_m=distance,
+        lateral_m=lateral,
+        longitudinal_speed_mps=speed,
+        lateral_velocity_mps=0.0,
     )
 
 
@@ -408,8 +409,7 @@ class TestPerceptionSystem:
         assert abs(lead.lateral_m) < 1.0
 
     def test_camera_only_mode_uses_camera_only_policy(self):
-        config = PerceptionConfig(use_lidar=False)
-        assert config.fusion_policy == "camera_only"
+        config = PerceptionConfig(fusion=FusionConfig(policy="camera_only"))
         system = PerceptionSystem(config, rng=np.random.default_rng(2))
         assert type(system.fusion) is CameraOnlyFusion
         scenario = build_scenario("DS-1", ScenarioVariation.nominal())
@@ -422,29 +422,9 @@ class TestPerceptionSystem:
         assert output.obstacles
         assert output.obstacles[0].sources == ("camera",)
 
-    def test_use_lidar_false_identical_to_camera_only_policy(self):
-        # The deprecated ``use_lidar=False`` flag is an alias for the
-        # ``camera_only`` policy — same code path, identical outputs.
-        legacy = PerceptionSystem(
-            PerceptionConfig(use_lidar=False), rng=np.random.default_rng(7)
-        )
-        policy = PerceptionSystem(
-            PerceptionConfig(fusion=FusionConfig(policy="camera_only")),
-            rng=np.random.default_rng(7),
-        )
-        scenario = build_scenario("DS-2", ScenarioVariation.nominal())
-        camera = CameraSensor()
-        for _ in range(20):
-            snapshot = scenario.world.snapshot()
-            legacy_out = legacy.process(camera.capture(snapshot), None, 12.5)
-            policy_out = policy.process(camera.capture(snapshot), None, 12.5)
-            assert legacy_out.obstacles == policy_out.obstacles
-            scenario.world.step(FRAME_DT, 0.0)
-
     def test_perception_config_resolves_policy_from_fusion(self):
-        assert PerceptionConfig().fusion_policy == "late"
+        assert type(PerceptionSystem(rng=np.random.default_rng(8)).fusion) is SensorFusion
         config = PerceptionConfig(fusion=FusionConfig(policy="lidar_only"))
-        assert config.fusion_policy == "lidar_only"
         system = PerceptionSystem(config, rng=np.random.default_rng(8))
         assert type(system.fusion) is LidarOnlyFusion
 

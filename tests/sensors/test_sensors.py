@@ -85,7 +85,9 @@ class TestLidarSensor:
 
     def test_velocity_reported(self, ds1_snapshot):
         scan = LidarSensor(rng=np.random.default_rng(2)).scan(ds1_snapshot)
-        assert scan.detections[0].velocity.x == pytest.approx(25.0 / 3.6, abs=0.01)
+        detection = scan.detections[0]
+        assert detection.longitudinal_speed_mps == pytest.approx(25.0 / 3.6, abs=0.01)
+        assert detection.lateral_velocity_mps == 0.0
 
     def test_invalid_ranges_rejected(self):
         with pytest.raises(ValueError):

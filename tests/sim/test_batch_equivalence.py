@@ -27,7 +27,14 @@ from repro.experiments.campaign import (
     build_ads_agent,
 )
 from repro.geometry import Vec2
-from repro.perception.fusion import FusionConfig, SensorFusion, list_fusion_policies
+from repro.perception.fusion import (
+    FUSION_POLICIES,
+    FusedObstacle,
+    FusionConfig,
+    SensorFusion,
+    blend_weights,
+    list_fusion_policies,
+)
 from repro.perception.pipeline import PerceptionConfig
 from repro.sensors.camera import CameraSensor
 from repro.sim.batch import BatchRunSpec, BatchSimulator
@@ -179,14 +186,16 @@ class TestScalarBatchEquivalence:
         _assert_bit_identical(scalar, batch)
 
     def test_camera_only_agent_is_supported(self):
-        """A ``use_lidar=False`` agent resolves to the camera_only policy and
-        runs bit-identically on the batch engine (it used to be rejected)."""
+        """An agent built directly with the camera_only policy (not through
+        the campaign layer) runs bit-identically on the batch engine."""
         def setup():
             scenario = build_scenario("DS-1")
             ads = AdsAgent(
                 road=scenario.road,
                 planner_config=PlannerConfig(cruise_speed_mps=scenario.cruise_speed_mps),
-                perception_config=PerceptionConfig(use_lidar=False),
+                perception_config=PerceptionConfig(
+                    fusion=FusionConfig(policy="camera_only")
+                ),
                 rng=np.random.default_rng(_ADS_SEED),
             )
             return scenario, ads, np.random.default_rng(_SIM_SEED)
@@ -253,20 +262,57 @@ class TestScalarBatchEquivalence:
         with pytest.raises(ValueError, match="already processed frames"):
             BatchSimulator([BatchRunSpec(scenario=scenario, ads=ads, attacker=attacker)])
 
-    def test_custom_fusion_policy_is_rejected(self):
-        """The batch engine has plain-float ports of the built-in fusion
-        policies only; a third-party policy (here: a SensorFusion subclass it
-        has no port for) must fail loudly instead of silently running the
-        base-class port and diverging from the scalar path."""
+    @pytest.mark.parametrize("mode", ["benign", "robotack"])
+    @pytest.mark.parametrize("policy", ["subclass", "registered"])
+    def test_custom_fusion_policy_matches_scalar(self, mode, policy, custom_fusion):
+        """Both engines call the agent's own fusion policy, so third-party
+        policies run in batch: a ``SensorFusion`` subclass with its own blend
+        arbitration, and a registered policy sharing no code with the
+        built-ins.  Each sees the same inputs on both engines, every field of
+        every record included."""
 
-        class CustomFusion(SensorFusion):
-            pass
+        def setup():
+            if policy == "registered":
+                fusion = FusionConfig(policy=custom_fusion)
+                scenario, ads, attacker, rng = _SETUPS[mode]("DS-2", fusion=fusion)
+            else:
+                scenario, ads, attacker, rng = _SETUPS[mode]("DS-2")
+                ads.perception.fusion = _RangeWeightedFusion()
+            inputs = []
+            fusion_step = ads.perception.fusion.step
+            # Actor ids differ between the two arms' scenarios (see the module
+            # docstring), so records carry the actor's position instead.
+            position = {actor.actor_id: i for i, actor in enumerate(scenario.world.actors)}
 
-        scenario = build_scenario("DS-1")
-        ads = build_ads_agent(scenario, np.random.default_rng(_ADS_SEED))
-        ads.perception.fusion = CustomFusion()
-        with pytest.raises(ValueError, match="built-in"):
-            BatchSimulator([BatchRunSpec(scenario=scenario, ads=ads)])
+            def recording_step(camera_estimates, lidar_scan, ego_speed_mps, frame_dt_s):
+                estimates = tuple(
+                    e._replace(actor_id=position[e.actor_id]) for e in camera_estimates
+                )
+                scan = lidar_scan
+                if scan is not None:
+                    scan = scan._replace(detections=tuple(
+                        d._replace(actor_id=position[d.actor_id]) for d in scan.detections
+                    ))
+                inputs.append((estimates, scan, ego_speed_mps, frame_dt_s))
+                return fusion_step(camera_estimates, lidar_scan, ego_speed_mps, frame_dt_s)
+
+            ads.perception.fusion.step = recording_step
+            return (scenario, ads, attacker, rng), inputs
+
+        (scenario, ads, attacker, rng), scalar_inputs = setup()
+        scalar = Simulator(scenario, ads, attacker=attacker, rng=rng).run()
+        (scenario, ads, attacker, rng), batch_inputs = setup()
+        batch = BatchSimulator(
+            [BatchRunSpec(scenario=scenario, ads=ads, attacker=attacker, rng=rng)]
+        ).run()[0]
+        _assert_bit_identical(scalar, batch)
+        assert len(batch_inputs) == batch.steps_executed
+        assert batch_inputs == scalar_inputs
+        assert attacker is None or attacker.record.launched
+        # The custom policies change what the victim perceives.
+        scenario, ads, attacker, rng = _SETUPS[mode]("DS-2")
+        late = Simulator(scenario, ads, attacker=attacker, rng=rng).run()
+        assert late.events.perceived_delta_trace != batch.events.perceived_delta_trace
 
     def test_spawn_overlap_halts_batch_lane_at_step_zero(self):
         """The step-0 collision check is mirrored in the batch engine."""
@@ -288,3 +334,63 @@ class TestScalarBatchEquivalence:
         kinds = [(e.kind, e.step_index) for e in result.events.events]
         assert (EventKind.COLLISION, 0) in kinds
         assert (EventKind.SIMULATION_HALTED, 0) in kinds
+
+
+class _RangeWeightedFusion(SensorFusion):
+    """Late fusion that trusts the camera less with range (custom arbitration)."""
+
+    _FAR_WEIGHTS = blend_weights(0.2, 0.05)
+
+    def _blend_weights(self, track):
+        if track.lidar_distance_m > 25.0:
+            return self._FAR_WEIGHTS
+        return self._weights
+
+
+class _LidarConfirmedCameraFusion:
+    """Camera obstacles, each kept only while the latest LiDAR scan has a
+    return within a few metres of it; counts the frames each survived."""
+
+    def __init__(self, config=None):
+        self.config = config or FusionConfig()
+        self._confirmed = {}
+
+    def reset(self):
+        self._confirmed.clear()
+
+    def step(self, camera_estimates, lidar_scan, ego_speed_mps, frame_dt_s):
+        returns = lidar_scan.detections if lidar_scan is not None else ()
+        obstacles = []
+        for estimate in camera_estimates:
+            if not any(
+                abs(detection.distance_m - estimate.distance_m) < 4.0
+                for detection in returns
+            ):
+                self._confirmed.pop(estimate.track_id, None)
+                continue
+            frames = self._confirmed.get(estimate.track_id, 0) + 1
+            self._confirmed[estimate.track_id] = frames
+            if frames < 3:
+                continue
+            obstacles.append(FusedObstacle(
+                obstacle_id=f"confirmed-{estimate.track_id}",
+                kind=estimate.kind,
+                distance_m=estimate.distance_m,
+                lateral_m=estimate.lateral_m,
+                longitudinal_speed_mps=max(
+                    0.0, ego_speed_mps + estimate.relative_longitudinal_velocity_mps
+                ),
+                lateral_velocity_mps=estimate.lateral_velocity_mps,
+                sources=("camera", "lidar"),
+                actor_id=estimate.actor_id,
+            ))
+        return obstacles
+
+
+@pytest.fixture
+def custom_fusion():
+    """Register :class:`_LidarConfirmedCameraFusion` for one test."""
+    name = "test_lidar_confirmed_camera"
+    FUSION_POLICIES.register(name, _LidarConfirmedCameraFusion)
+    yield name
+    FUSION_POLICIES.unregister(name)

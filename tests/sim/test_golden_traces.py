@@ -5,7 +5,9 @@ compact digest: steps executed, the recorded event kinds and step indices,
 the rounded minimum ground-truth safety potential, and the rounded final ego
 speed.  A second set pins attacked runs (RoboTack with the kinematic oracle,
 RoboTack without the safety hijacker, and the random baseline on DS-1
-Disappear and DS-3 Move_In) on both engines, including the attack record.  Any refactor that perturbs simulation semantics — sensor seeding,
+Disappear and DS-3 Move_In) on both engines, including the attack record.  A
+third set pins the non-default fusion policies, benign and attacked, on both
+engines.  Any refactor that perturbs simulation semantics — sensor seeding,
 actor kinematics, the planner, the step loop's snapshot discipline — fails
 these loudly instead of silently shifting every campaign statistic.
 
@@ -28,6 +30,7 @@ from repro.experiments.campaign import (
     _build_run_setup,
     build_ads_agent,
 )
+from repro.perception.fusion import FusionConfig
 from repro.sim.batch import BatchRunSpec, BatchSimulator
 from repro.sim.scenarios import ScenarioVariation, build_scenario, list_scenario_ids
 from repro.sim.simulator import SimulationResult, Simulator
@@ -50,9 +53,11 @@ class GoldenDigest:
     final_speed_mps: float
 
     @staticmethod
-    def regenerate(scenario_id: str) -> "GoldenDigest":
+    def regenerate(
+        scenario_id: str, fusion: Optional[FusionConfig] = None, engine: str = "scalar"
+    ) -> "GoldenDigest":
         """Compute the digest for a scenario (use this to refresh ``GOLDEN``)."""
-        result = _golden_run(scenario_id)
+        result = _golden_run(scenario_id, fusion, engine)
         return GoldenDigest(
             steps=result.steps_executed,
             events=tuple(
@@ -63,11 +68,15 @@ class GoldenDigest:
         )
 
 
-def _golden_run(scenario_id: str) -> SimulationResult:
+def _golden_run(
+    scenario_id: str, fusion: Optional[FusionConfig] = None, engine: str = "scalar"
+) -> SimulationResult:
     scenario = build_scenario(scenario_id, ScenarioVariation.nominal())
-    ads = build_ads_agent(scenario, np.random.default_rng(_ADS_SEED))
-    simulator = Simulator(scenario, ads, rng=np.random.default_rng(_SIM_SEED))
-    return simulator.run()
+    ads = build_ads_agent(scenario, np.random.default_rng(_ADS_SEED), fusion=fusion)
+    rng = np.random.default_rng(_SIM_SEED)
+    if engine == "scalar":
+        return Simulator(scenario, ads, rng=rng).run()
+    return BatchSimulator([BatchRunSpec(scenario=scenario, ads=ads, rng=rng)]).run()[0]
 
 
 #: Digest per scenario, generated by ``GoldenDigest.regenerate``.  Benign
@@ -156,7 +165,12 @@ class AttackedDigest:
         )
 
 
-def _attacked_config(scenario_id: str, vector: AttackVector, kind: AttackerKind):
+def _attacked_config(
+    scenario_id: str,
+    vector: AttackVector,
+    kind: AttackerKind,
+    fusion: Optional[FusionConfig] = None,
+):
     return CampaignConfig(
         campaign_id=f"golden-{scenario_id}-{kind.value}",
         scenario_id=scenario_id,
@@ -165,6 +179,7 @@ def _attacked_config(scenario_id: str, vector: AttackVector, kind: AttackerKind)
         n_runs=1,
         seed=_ATTACK_CAMPAIGN_SEED,
         predictor=PredictorKind.KINEMATIC,
+        fusion=fusion,
     )
 
 
@@ -204,10 +219,12 @@ ATTACKED_GOLDEN = {
 }
 
 
-def _attacked_run(case, engine: str) -> AttackedDigest:
+def _attacked_run(
+    case, engine: str, fusion: Optional[FusionConfig] = None, run_index: int = 0
+) -> AttackedDigest:
     (scenario_id, vector), kind = case
-    config = _attacked_config(scenario_id, vector, kind)
-    setup = _build_run_setup(config, 0)
+    config = _attacked_config(scenario_id, vector, kind, fusion)
+    setup = _build_run_setup(config, run_index)
     if engine == "scalar":
         result = Simulator(
             setup.scenario, setup.ads, config=config.simulation,
@@ -254,3 +271,68 @@ def test_attacked_golden_digests_in_one_batch():
     ]).run()
     for case, setup, result in zip(cases, setups, results):
         assert AttackedDigest.of(result, setup.attacker) == ATTACKED_GOLDEN[case], _case_id(case)
+
+
+# --------------------------------------------------------------------------- #
+# Non-default fusion policies
+# --------------------------------------------------------------------------- #
+# The digests above run the default ``late`` victim.  These pin the other
+# built-in policies on both engines, one benign and one attacked run each, so
+# a change to a policy's arithmetic fails here even though the scalar and
+# batch engines share one implementation of it.
+
+_BENIGN_POLICY_SCENARIO = "DS-2"
+_POLICY_ATTACK_CASE = (("DS-2", AttackVector.MOVE_IN), _RANDOM)
+#: At the attacked campaign seed, run 0's random target on DS-2 is out of
+#: view at its start frame; run 1 launches, so the policy digests pin a live
+#: episode (during which ``consistency_gated`` and ``late`` diverge).
+_POLICY_ATTACK_RUN_INDEX = 1
+
+#: Digests recorded before the batch engine ran the policy objects themselves
+#: (when it still carried its own port of each); identical on both engines.
+POLICY_GOLDEN = {
+    "camera_only": GoldenDigest(
+        steps=375, events=(), min_delta_m=12.151, final_speed_mps=12.577
+    ),
+    "lidar_only": GoldenDigest(
+        steps=375, events=(("emergency_brake", 66),), min_delta_m=1.389,
+        final_speed_mps=12.554,
+    ),
+    "consistency_gated": GoldenDigest(
+        steps=375, events=(), min_delta_m=12.536, final_speed_mps=12.579
+    ),
+}
+
+POLICY_ATTACKED_GOLDEN = {
+    "camera_only": AttackedDigest(
+        steps=375, events=(("attack_started", 46), ("attack_ended", 115)),
+        min_delta_m=7.913, start_frame=47, planned_k_frames=70, frames_perturbed=70,
+    ),
+    "lidar_only": AttackedDigest(
+        steps=375,
+        events=(("attack_started", 46), ("emergency_brake", 60), ("attack_ended", 115)),
+        min_delta_m=1.78, start_frame=47, planned_k_frames=70, frames_perturbed=70,
+    ),
+    "consistency_gated": AttackedDigest(
+        steps=375, events=(("attack_started", 46), ("attack_ended", 115)),
+        min_delta_m=8.721, start_frame=47, planned_k_frames=70, frames_perturbed=70,
+    ),
+}
+
+
+@pytest.mark.parametrize("engine", ["scalar", "batch"])
+@pytest.mark.parametrize("policy", sorted(POLICY_GOLDEN))
+def test_policy_golden_digest(policy, engine):
+    digest = GoldenDigest.regenerate(
+        _BENIGN_POLICY_SCENARIO, FusionConfig(policy=policy), engine
+    )
+    assert digest == POLICY_GOLDEN[policy], f"{policy} ({engine}): got {digest}"
+
+
+@pytest.mark.parametrize("engine", ["scalar", "batch"])
+@pytest.mark.parametrize("policy", sorted(POLICY_ATTACKED_GOLDEN))
+def test_policy_attacked_golden_digest(policy, engine):
+    digest = _attacked_run(
+        _POLICY_ATTACK_CASE, engine, FusionConfig(policy=policy), _POLICY_ATTACK_RUN_INDEX
+    )
+    assert digest == POLICY_ATTACKED_GOLDEN[policy], f"{policy} ({engine}): got {digest}"
