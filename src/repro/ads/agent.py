@@ -17,13 +17,15 @@ import numpy as np
 from repro.ads.pid import ActuationSmoother, PIDController
 from repro.ads.planning import LongitudinalPlanner, PlannerConfig, PlanningDecision
 from repro.ads.world_model import WorldModel
+from repro.perception.fusion import FusionConfig
 from repro.perception.pipeline import PerceptionConfig, PerceptionOutput, PerceptionSystem
 from repro.sensors.camera import CameraFrame
 from repro.sensors.gps_imu import EgoPoseEstimate
 from repro.sensors.lidar import LidarScan
 from repro.sim.road import Road
+from repro.sim.scenarios import DrivingScenario
 
-__all__ = ["AdsDecision", "AdsAgent"]
+__all__ = ["AdsDecision", "AdsAgent", "build_ads_agent"]
 
 
 @dataclass(frozen=True)
@@ -108,3 +110,33 @@ class AdsAgent:
             perception=perception_output,
             world_model=world_model,
         )
+
+
+def build_ads_agent(
+    scenario: DrivingScenario,
+    rng: np.random.Generator,
+    fusion: Optional[FusionConfig] = None,
+) -> AdsAgent:
+    """Construct the victim ADS agent for a scenario.
+
+    The one agent factory: campaign runs and oracle dataset collection both
+    build their victims here, so the oracle is calibrated against the victim
+    it will face.  Scenarios that model degraded sensing (e.g. DS-7's fog)
+    carry a detector override, which is threaded into the agent's perception
+    pipeline.  ``fusion`` selects a fusion-policy victim variant; when
+    ``None`` the scenario's own ``fusion_config`` (usually ``None`` → the
+    late default) applies.
+    """
+    fusion_config = fusion if fusion is not None else scenario.fusion_config
+    perception_kwargs = {}
+    if scenario.detector_config is not None:
+        perception_kwargs["detector"] = scenario.detector_config
+    if fusion_config is not None:
+        perception_kwargs["fusion"] = fusion_config
+    perception_config = PerceptionConfig(**perception_kwargs) if perception_kwargs else None
+    return AdsAgent(
+        road=scenario.road,
+        planner_config=PlannerConfig(cruise_speed_mps=scenario.cruise_speed_mps),
+        perception_config=perception_config,
+        rng=rng,
+    )

@@ -18,18 +18,22 @@ the label:
 The collected dataset is used to train the 100-100-50 ReLU network with Adam
 on an L2 loss with a 60/40 train/validation split, exactly as in the paper.
 
-Collection is the last expensive serial hot path of the reproduction, and it
-is embarrassingly parallel: every ``(delta_inject, k)`` grid point's scenario
-variation and RNG seeds are pre-drawn in grid order from the root seed's
-single stream (cheap, no simulation) and shipped with the job, so
-:func:`collect_safety_dataset` fans the grid out over the
-:mod:`repro.runtime` executors (``executor=``) with bit-identical
-serial/parallel dataset assembly — and datasets identical to the historical
-serial implementation, keeping trained oracle weights stable across the
-refactor.  With a ``store=`` the collected sample
-batches stream into the :class:`~repro.experiments.store.ExperimentStore` as
-dataset records, and an interrupted collection resumes by skipping the grid
-points already on disk.  :func:`train_and_register_predictor` chains
+Every ``(delta_inject, k)`` grid point's scenario variation and RNG seeds are
+pre-drawn in grid order from the root seed's single stream (cheap, no
+simulation) and shipped with the job.  :func:`collect_safety_dataset` groups
+the pending points into chunks of at most
+:data:`~repro.sim.batch.DEFAULT_BATCH_SIZE` and simulates each chunk as
+lockstep lanes of one :class:`~repro.sim.batch.BatchSimulator`, fanning the
+chunks out over the :mod:`repro.runtime` executors (``executor=``; a pool
+gets at least one chunk per worker).  The batch engine is bit-identical to
+the scalar simulator per lane and assembly follows grid order, so the dataset
+does not depend on the executor or the chunking, and equals the historical
+one-point-at-a-time scalar collection (trained oracle weights are stable
+artifacts).  A lane's scripted attacker is no longer called once its one
+attack is spent.  With a ``store=`` every finished chunk's points stream into
+the :class:`~repro.experiments.store.ExperimentStore` as dataset records, and
+an interrupted collection resumes by skipping the grid points already on
+disk.  :func:`train_and_register_predictor` chains
 collection, training, and persistence into the content-addressed model
 registry (dataset hash + training config), which is what the
 ``repro-campaign train`` subcommand and the campaign runner's pretrained-oracle
@@ -40,27 +44,27 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.ads.agent import AdsAgent
-from repro.ads.planning import PlannerConfig
+from repro.ads.agent import build_ads_agent
 from repro.core.attack_vectors import AttackVector
 from repro.core.robotack import CameraMitmAttackerBase, RoboTackConfig
 from repro.core.safety_hijacker import AttackFeatures, NeuralSafetyPredictor
 from repro.core.scenario_matcher import ScenarioMatcher
 from repro.nn import Adam, FeedForwardNetwork, TrainingResult, train_network
-from repro.perception.pipeline import PerceptionConfig
 from repro.perception.transforms import WorldObjectEstimate
 from repro.runtime.cache import encode_key
-from repro.runtime.executor import ExecutorLike, resolve_executor
+from repro.runtime.executor import Executor, ExecutorLike, resolve_executor
+from repro.sim.batch import DEFAULT_BATCH_SIZE, BatchRunSpec, BatchSimulator, chunked
 from repro.sim.config import SimulationConfig
 from repro.sim.road import Road
 from repro.sim.scenarios import ScenarioVariation, build_scenario
-from repro.sim.simulator import SimulationResult, Simulator
+from repro.sim.simulator import SimulationResult
 
 if TYPE_CHECKING:  # pragma: no cover - type hints only (store imports nothing here)
     from repro.experiments.store import ExperimentStore
@@ -221,7 +225,7 @@ def expand_training_grid(
 
 @dataclass(frozen=True)
 class _GridPointJob:
-    """One self-contained collection work unit (picklable for the executors).
+    """One self-contained grid point (picklable for the executors).
 
     The variation and the three per-component seeds are pre-drawn in the
     parent process, in grid order, from the single root RNG stream — exactly
@@ -266,63 +270,80 @@ def _expand_jobs(
     return jobs
 
 
-def _collect_grid_point(
-    scenario_id: str,
-    vector: AttackVector,
-    simulation_config: SimulationConfig,
-    job: _GridPointJob,
-) -> Tuple[int, List[List[float]], List[float]]:
-    """Simulate one scripted-attack grid point (the parallel work unit).
+def _grid_point_spec(
+    scenario_id: str, vector: AttackVector, job: _GridPointJob
+) -> BatchRunSpec:
+    """Build one grid point's scenario, victim, scripted attacker and RNG.
 
-    Returns the point's sample rows; both lists are empty when the scripted
-    attack never fired.
+    Every component is seeded from the job's pre-drawn seeds, so the lane is
+    the same run whichever engine steps it.
     """
-    point_index = job.point_index
-    delta_inject = job.delta_inject_m
-    k_frames = job.k_frames
     scenario = build_scenario(scenario_id, job.variation)
-    # Degraded-sensing scenarios (e.g. DS-7's fog) must train under the
-    # same detector the campaign evaluates with, or the oracle is
-    # calibrated for clean sensing it will never see.
-    perception_config = (
-        PerceptionConfig(detector=scenario.detector_config)
-        if scenario.detector_config is not None
-        else None
-    )
-    ads = AdsAgent(
-        road=scenario.road,
-        planner_config=PlannerConfig(cruise_speed_mps=scenario.cruise_speed_mps),
-        perception_config=perception_config,
-        rng=np.random.default_rng(job.ads_seed),
-    )
+    # The campaign's own agent factory: degraded-sensing scenarios (e.g.
+    # DS-7's fog) and fusion-policy victims train against the detector and
+    # fusion policy the campaign evaluates with, or the oracle is calibrated
+    # for a victim it will never face.
+    ads = build_ads_agent(scenario, np.random.default_rng(job.ads_seed))
     # The attacker's own reconstruction and stealth bounds must track the
     # scenario's (possibly degraded) detector, exactly as at evaluation time.
     attacker_config = RoboTackConfig.for_detector((vector,), scenario.detector_config)
     attacker = ScriptedAttacker(
         road=scenario.road,
         vector=vector,
-        delta_inject_m=delta_inject,
-        k_frames=k_frames,
+        delta_inject_m=job.delta_inject_m,
+        k_frames=job.k_frames,
         config=attacker_config,
         rng=np.random.default_rng(job.attacker_seed),
     )
-    simulator = Simulator(
-        scenario,
-        ads,
-        config=simulation_config,
+    return BatchRunSpec(
+        scenario=scenario,
+        ads=ads,
         attacker=attacker,
         rng=np.random.default_rng(job.simulator_seed),
     )
-    result = simulator.run()
-    label = _label_for_run(vector, result, attacker, k_frames)
+
+
+def _point_rows(
+    vector: AttackVector,
+    job: _GridPointJob,
+    attacker: ScriptedAttacker,
+    result: SimulationResult,
+) -> Tuple[int, List[List[float]], List[float]]:
+    """One finished grid point's sample rows (both empty if the attack never fired)."""
+    label = _label_for_run(vector, result, attacker, job.k_frames)
     features = attacker.record.features_at_launch
     if label is None or features is None:
-        return point_index, [], []
+        return job.point_index, [], []
     return (
-        point_index,
-        [[float(value) for value in features.as_array(k_frames)]],
+        job.point_index,
+        [[float(value) for value in features.as_array(job.k_frames)]],
         [float(label)],
     )
+
+
+def _collect_chunk(
+    scenario_id: str,
+    vector: AttackVector,
+    simulation_config: SimulationConfig,
+    jobs: Sequence[_GridPointJob],
+) -> List[Tuple[int, List[List[float]], List[float]]]:
+    """Simulate a chunk of grid points as lockstep batch lanes (the work unit).
+
+    The batch engine is bit-identical to the scalar simulator per lane, so the
+    rows do not depend on how the grid was chunked.
+    """
+    specs = [_grid_point_spec(scenario_id, vector, job) for job in jobs]
+    results = BatchSimulator(specs, config=simulation_config).run()
+    return [
+        _point_rows(vector, job, spec.attacker, result)
+        for job, spec, result in zip(jobs, specs, results)
+    ]
+
+
+def _collection_chunk_size(n_pending: int, executor: Executor) -> int:
+    """Lanes per collection chunk: at most a full batch, but one chunk per worker."""
+    per_worker = math.ceil(n_pending / executor.max_workers)
+    return max(1, min(DEFAULT_BATCH_SIZE, per_worker))
 
 
 def collection_hash_for(
@@ -369,13 +390,14 @@ def collect_safety_dataset(
     Each ``(delta_inject, k)`` grid point is simulated ``repeats`` times with
     independently randomized scenario variations.  Every grid point's
     variation and seeds are pre-drawn in grid order from the root seed's
-    single RNG stream, so the assembled dataset is bit-identical whichever
-    ``executor`` fans the points out — and identical to the historical serial
-    implementation (trained oracle weights are stable artifacts).  With a
+    single RNG stream, and the points run as batch-engine lanes in chunks, so
+    the assembled dataset is bit-identical whichever ``executor`` fans the
+    chunks out — and identical to the historical one-point-at-a-time scalar
+    collection (trained oracle weights are stable artifacts).  With a
     ``store=`` (an :class:`~repro.experiments.store.ExperimentStore` or its
-    root path) each point's sample batch is durably recorded as it completes
-    and already-stored points are skipped on restart — an interrupted
-    collection resumes instead of recomputing.
+    root path) each point's sample batch is durably recorded as its chunk
+    completes and already-stored points are skipped on restart — an
+    interrupted collection resumes instead of recomputing.
     """
     from repro.experiments.store import resolve_store  # lazy: experiments imports us
 
@@ -405,21 +427,21 @@ def collect_safety_dataset(
     else:
         collection_hash_ = None
         pending = grid
-    worker = functools.partial(
-        _collect_grid_point, scenario_id, vector, simulation_config
-    )
+    worker = functools.partial(_collect_chunk, scenario_id, vector, simulation_config)
     resolved = resolve_executor(executor)
     try:
-        # Streaming fan-out: each completed point is checkpointed (store path)
-        # or staged (in-memory path) as it lands, so a killed collection loses
-        # at most the points in flight.
-        for _, (point_index, input_rows, target_rows) in resolved.imap(worker, pending):
-            if resolved_store is not None:
-                resolved_store.append_dataset_point(
-                    collection_hash_, point_index, input_rows, target_rows
-                )
-            else:
-                collected[point_index] = (input_rows, target_rows)
+        # Streaming fan-out: each completed chunk's points are checkpointed
+        # (store path) or staged (in-memory path) as it lands, so a killed
+        # collection loses at most the chunks in flight.
+        chunks = chunked(pending, _collection_chunk_size(len(pending), resolved))
+        for _, rows in resolved.imap(worker, chunks):
+            for point_index, input_rows, target_rows in rows:
+                if resolved_store is not None:
+                    resolved_store.append_dataset_point(
+                        collection_hash_, point_index, input_rows, target_rows
+                    )
+                else:
+                    collected[point_index] = (input_rows, target_rows)
     finally:
         if resolved is not executor:
             resolved.close()

@@ -36,8 +36,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.ads.agent import AdsAgent
-from repro.ads.planning import PlannerConfig
+from repro.ads.agent import AdsAgent, build_ads_agent
 from repro.core.attack_vectors import AttackVector
 from repro.core.baselines import RandomAttacker, RoboTackWithoutSafetyHijacker
 from repro.core.robotack import CameraMitmAttackerBase, RoboTack, RoboTackConfig
@@ -62,9 +61,9 @@ from repro.experiments.store import (
 )
 from repro.perception.detection import DetectorDegradation
 from repro.perception.fusion import DEFAULT_FUSION_POLICY, FusionConfig
-from repro.perception.pipeline import PerceptionConfig
 from repro.sim.actors import ActorKind
 from repro.runtime import ExecutorLike, resolve_executor
+from repro.sim.batch import DEFAULT_BATCH_SIZE, BatchRunSpec, BatchSimulator, chunked
 from repro.sim.config import SimulationConfig
 from repro.sim.scenarios import DrivingScenario, ScenarioVariation, build_scenario
 from repro.sim.simulator import SimulationResult, Simulator
@@ -274,34 +273,6 @@ class CampaignConfig:
             ),
             fusion=FusionConfig(**fusion) if fusion else None,  # type: ignore[arg-type]
         )
-
-
-def build_ads_agent(
-    scenario: DrivingScenario,
-    rng: np.random.Generator,
-    fusion: Optional[FusionConfig] = None,
-) -> AdsAgent:
-    """Construct the victim ADS agent for a scenario.
-
-    Scenarios that model degraded sensing (e.g. DS-7's fog) carry a detector
-    override, which is threaded into the agent's perception pipeline here.
-    ``fusion`` selects a fusion-policy victim variant; when ``None`` the
-    scenario's own ``fusion_config`` (usually ``None`` → the late default)
-    applies.
-    """
-    fusion_config = fusion if fusion is not None else scenario.fusion_config
-    perception_kwargs = {}
-    if scenario.detector_config is not None:
-        perception_kwargs["detector"] = scenario.detector_config
-    if fusion_config is not None:
-        perception_kwargs["fusion"] = fusion_config
-    perception_config = PerceptionConfig(**perception_kwargs) if perception_kwargs else None
-    return AdsAgent(
-        road=scenario.road,
-        planner_config=PlannerConfig(cruise_speed_mps=scenario.cruise_speed_mps),
-        perception_config=perception_config,
-        rng=rng,
-    )
 
 
 def get_or_train_predictor(
@@ -551,19 +522,11 @@ def run_single_experiment(
     return run_single_experiment_record(config, run_index, predictor=predictor).result
 
 
-#: Lanes per :class:`~repro.sim.batch.BatchSimulator` when ``engine="batch"``.
-DEFAULT_BATCH_SIZE = 16
-
-
 def _validate_engine(engine: str, batch_size: int) -> None:
     if engine not in ("scalar", "batch"):
         raise ValueError(f"unknown engine {engine!r}: expected 'scalar' or 'batch'")
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
-
-
-def _chunked(indices: Sequence[int], size: int) -> List[List[int]]:
-    return [list(indices[start:start + size]) for start in range(0, len(indices), size)]
 
 
 def _run_batch_chunk(
@@ -578,8 +541,6 @@ def _run_batch_chunk(
     produces are interchangeable with ``run_single_experiment_record`` output
     — same config hash, same store layout, same statistics.
     """
-    from repro.sim.batch import BatchRunSpec, BatchSimulator
-
     setups = [
         _build_run_setup(config, run_index, predictor=predictor)
         for run_index in run_indices
@@ -657,7 +618,7 @@ def _run_campaign_checkpointed(
             predictor = _prepare_predictor(config, store=store, executor=resolved)
             if engine == "batch":
                 worker = functools.partial(_run_batch_chunk, config, predictor=predictor)
-                for _, records in resolved.imap(worker, _chunked(pending, batch_size)):
+                for _, records in resolved.imap(worker, chunked(pending, batch_size)):
                     for record in records:
                         store.append(record)
             else:

@@ -62,6 +62,10 @@ def available_cpus() -> int:
 class Executor(abc.ABC):
     """Maps a function over work items, preserving input order."""
 
+    #: How many work items run at once; callers that group work into chunks
+    #: make at least this many so every worker gets one.
+    max_workers: int = 1
+
     @abc.abstractmethod
     def map(self, fn: Callable[[T], R], items: Iterable[T]) -> List[R]:
         """Apply ``fn`` to every item and return the results in input order."""
@@ -216,6 +220,7 @@ class FaultInjectingExecutor(Executor):
             raise ValueError("fail_after must be non-negative")
         self.fail_after = fail_after
         self.inner = inner or SerialExecutor()
+        self.max_workers = self.inner.max_workers
         self.completed = 0
 
     def map(self, fn: Callable[[T], R], items: Iterable[T]) -> List[R]:

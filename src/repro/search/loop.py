@@ -38,7 +38,7 @@ from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.experiments.campaign import DEFAULT_BATCH_SIZE, CampaignConfig, run_campaigns
+from repro.experiments.campaign import CampaignConfig, run_campaigns
 from repro.experiments.store import (
     ExperimentStore,
     OutcomeSummary,
@@ -51,6 +51,7 @@ from repro.runtime import ExecutorLike, resolve_executor
 from repro.runtime.cache import encode_key
 from repro.search.objectives import Objective, build_objective
 from repro.search.samplers import AdaptiveSampler, build_search_sampler
+from repro.sim.batch import DEFAULT_BATCH_SIZE
 from repro.sim.sweeps import Assignment, Choice, ParameterSpace, Uniform, expand_campaigns
 
 __all__ = [

@@ -65,7 +65,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -88,7 +88,19 @@ from repro.sim.world import GroundTruthSnapshot
 if TYPE_CHECKING:  # pragma: no cover - type hints only
     from repro.ads.agent import AdsAgent
 
-__all__ = ["BatchRunSpec", "BatchSimulator"]
+__all__ = ["DEFAULT_BATCH_SIZE", "BatchRunSpec", "BatchSimulator", "chunked"]
+
+#: Lanes per :class:`BatchSimulator` work item, for campaign runs and oracle
+#: dataset collection alike.
+DEFAULT_BATCH_SIZE = 16
+
+_T = TypeVar("_T")
+
+
+def chunked(items: Sequence[_T], size: int) -> List[List[_T]]:
+    """Split ``items`` into consecutive lane chunks of at most ``size``."""
+    return [list(items[start:start + size]) for start in range(0, len(items), size)]
+
 
 _first = itemgetter(0)
 #: ``_record(Record, values)`` builds a named-tuple record from its field

@@ -10,7 +10,8 @@ Covers the pipeline's three contracts:
   reloads to bit-identical predictions, and campaign processes resolve it by
   training-spec hash instead of retraining.
 
-Plus the `_label_for_run` frame-0 clamp regression.
+Plus the `_label_for_run` frame-0 clamp regression, and the batch-lane
+collection checked against the scalar simulator run per grid point.
 """
 
 from types import SimpleNamespace
@@ -22,6 +23,9 @@ from repro.core.attack_vectors import AttackVector
 from repro.core.safety_hijacker import NeuralSafetyPredictor
 from repro.core.training import (
     _CLEAR_ROAD_DELTA_M,
+    _collection_chunk_size,
+    _expand_jobs,
+    _grid_point_spec,
     _label_for_run,
     collect_safety_dataset,
     collection_hash_for,
@@ -31,8 +35,20 @@ from repro.core.training import (
     train_and_register_predictor,
     training_spec_hash,
 )
+from repro.experiments.campaign import training_grid_for
 from repro.experiments.store import ExperimentStore
-from repro.runtime import FaultInjectingExecutor, InjectedFault, ParallelExecutor
+from repro.perception.fusion import CameraOnlyFusion, FusionConfig
+from repro.runtime import (
+    FaultInjectingExecutor,
+    InjectedFault,
+    ParallelExecutor,
+    SerialExecutor,
+)
+from repro.sim import scenarios as scenarios_module
+from repro.sim.batch import DEFAULT_BATCH_SIZE, BatchSimulator
+from repro.sim.config import SimulationConfig
+from repro.sim.scenarios import ScenarioVariation, build_scenario, register_scenario
+from repro.sim.simulator import Simulator
 
 _SCENARIO = "DS-2"
 _VECTOR = AttackVector.DISAPPEAR
@@ -99,20 +115,39 @@ class TestParallelCollection:
         assert manifest["n_points"] == len(_DELTAS) * len(_KS)
 
     def test_interrupted_collection_resumes_bit_identical(self, tmp_path):
-        clean = _collect()
+        # Enough repeats that the grid spans two lane chunks, so the fault can
+        # land between them.
+        repeats = 5
+        n_points = len(_DELTAS) * len(_KS) * repeats
+        assert n_points > DEFAULT_BATCH_SIZE
+        clean = _collect(repeats=repeats)
         store = ExperimentStore(tmp_path)
         with pytest.raises(InjectedFault):
-            _collect(store=store, executor=FaultInjectingExecutor(2))
+            _collect(store=store, repeats=repeats, executor=FaultInjectingExecutor(1))
         collection_hash_ = collection_hash_for(
-            _SCENARIO, _VECTOR, _DELTAS, _KS, seed=17, repeats=1
+            _SCENARIO, _VECTOR, _DELTAS, _KS, seed=17, repeats=repeats
         )
+        # Exactly the first chunk's grid points were checkpointed.
         done = store.dataset_point_indices(collection_hash_)
-        assert len(done) == 2  # exactly the checkpointed grid points
+        assert done == set(range(DEFAULT_BATCH_SIZE))
 
-        resumed = _collect(store=store)
+        resumed = _collect(store=store, repeats=repeats)
         assert_datasets_identical(resumed, clean)
         # The resume recomputed only the missing points; all are now stored.
-        assert store.dataset_point_indices(collection_hash_) == set(range(4))
+        assert store.dataset_point_indices(collection_hash_) == set(range(n_points))
+
+    def test_chunks_are_bounded_and_fan_out_over_workers(self):
+        serial = SerialExecutor()
+        assert _collection_chunk_size(48, serial) == DEFAULT_BATCH_SIZE
+        assert _collection_chunk_size(5, serial) == 5
+        assert _collection_chunk_size(0, serial) == 1
+        # A pool gets at least one chunk per worker.
+        assert _collection_chunk_size(48, ParallelExecutor(max_workers=4)) == 12
+        assert _collection_chunk_size(48, ParallelExecutor(max_workers=2)) == 16
+        assert _collection_chunk_size(3, ParallelExecutor(max_workers=4)) == 1
+        # A wrapping executor sizes chunks like the executor it wraps.
+        wrapped = FaultInjectingExecutor(1, inner=ParallelExecutor(max_workers=4))
+        assert _collection_chunk_size(48, wrapped) == 12
 
     def test_completed_collection_runs_nothing_on_reload(self, tmp_path):
         store = ExperimentStore(tmp_path)
@@ -134,6 +169,92 @@ class TestParallelCollection:
         )
         assert len(list(tmp_path.glob("datasets/*.jsonl"))) == 2
         assert other.n_samples >= 1
+
+
+def _scalar_reference_rows(scenario_id, vector, deltas, ks, seed, repeats):
+    """Collect a grid on the scalar ``Simulator``, one grid point at a time."""
+    inputs, targets = [], []
+    for job in _expand_jobs(deltas, ks, seed, repeats):
+        spec = _grid_point_spec(scenario_id, vector, job)
+        result = Simulator(
+            spec.scenario, spec.ads, config=SimulationConfig(),
+            attacker=spec.attacker, rng=spec.rng,
+        ).run()
+        label = _label_for_run(vector, result, spec.attacker, job.k_frames)
+        features = spec.attacker.record.features_at_launch
+        if label is not None and features is not None:
+            inputs.append(list(features.as_array(job.k_frames)))
+            targets.append(label)
+    return np.asarray(inputs, dtype=float), np.asarray(targets, dtype=float).reshape(-1, 1)
+
+
+class TestEngineIndependentReference:
+    """Batch-lane collection reproduces the scalar simulator run per grid point."""
+
+    @pytest.mark.parametrize(
+        "scenario_id, vector",
+        [
+            ("DS-1", AttackVector.DISAPPEAR),
+            # Move_In labels come from the perceived-delta trace.
+            ("DS-3", AttackVector.MOVE_IN),
+            # DS-7 trains under its degraded (foggy) detector.
+            ("DS-7", AttackVector.DISAPPEAR),
+        ],
+    )
+    def test_rows_match_scalar_simulator(self, scenario_id, vector):
+        delta_grid, k_grid = training_grid_for(scenario_id)
+        deltas, ks = delta_grid[:3:2], k_grid[:2]
+        inputs, targets = _scalar_reference_rows(
+            scenario_id, vector, deltas, ks, seed=7, repeats=1
+        )
+        dataset = collect_safety_dataset(
+            scenario_id, vector, deltas, ks, seed=7, repeats=1
+        )
+        assert dataset.n_samples >= 2
+        np.testing.assert_array_equal(dataset.inputs, inputs)
+        np.testing.assert_array_equal(dataset.targets, targets)
+
+    def test_ds1_disappear_dataset_hash_is_pinned(self):
+        # The campaign's DS-1 Disappear oracle dataset (collection seed 7, two
+        # repeats), recorded on the one-point-at-a-time scalar collection.
+        delta_grid, k_grid = training_grid_for("DS-1")
+        dataset = collect_safety_dataset(
+            "DS-1", AttackVector.DISAPPEAR, delta_grid, k_grid, seed=7, repeats=2
+        )
+        assert dataset_content_hash(dataset) == (
+            "e979ba54db6aa135a424431ca71a43cd6a6c47c5e4ae3a476a0e5f80c44a07e1"
+        )
+
+
+class TestCollectionVictim:
+    def test_collection_lanes_run_the_scenarios_fusion_policy(self, monkeypatch):
+        @register_scenario("TEST-CAMERA-ONLY", description="DS-1 with a camera-only victim")
+        def _build(variation: ScenarioVariation):
+            scenario = build_scenario("DS-1", variation)
+            scenario.scenario_id = "TEST-CAMERA-ONLY"
+            scenario.fusion_config = FusionConfig(policy="camera_only")
+            return scenario
+
+        lane_agents = []
+
+        class RecordingBatchSimulator(BatchSimulator):
+            def __init__(self, specs, config=None):
+                lane_agents.extend(spec.ads for spec in specs)
+                super().__init__(specs, config=config)
+
+        monkeypatch.setattr(
+            "repro.core.training.BatchSimulator", RecordingBatchSimulator
+        )
+        try:
+            collect_safety_dataset(
+                "TEST-CAMERA-ONLY", AttackVector.DISAPPEAR, (28.0, 21.0), (30,), seed=7
+            )
+        finally:
+            scenarios_module._SCENARIOS.unregister("TEST-CAMERA-ONLY")
+        assert len(lane_agents) == 2
+        for agent in lane_agents:
+            assert agent.perception.config.fusion.policy == "camera_only"
+            assert isinstance(agent.perception.fusion, CameraOnlyFusion)
 
 
 class TestLabelForRunClamp:
